@@ -65,22 +65,6 @@ FRAME_SCALE_SPEEDUP = float(
 FORMATION_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_SPEEDUP_FORMATION", "2.0")
 )
-#: Wall-clock ratio seed-batched replication must beat over seed-by-seed
-#: replication (same engine, same per-seed values — see
-#: test_batched_replication).  The win comes from amortizing per-seed
-#: array-call overheads, so it is bounded (typically 1.1-1.4x in the
-#: short-replication regime on the reference container); the default bar
-#: asserts the batched path never loses beyond single-core timer noise.
-BATCH_REPLICATION_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_SPEEDUP_BATCH", "0.95")
-)
-#: Replications and slots for the batched-replication row: many short
-#: seeds — exactly the regime multi-seed stacking is built for.  The
-#: slot cap keeps per-seed event counts well below the stacked-group
-#: target so the benchmark genuinely measures multi-seed stacks (group
-#: size 4 at the defaults), not the single-seed fast pipeline.
-BATCH_REPLICATIONS = int(os.environ.get("REPRO_BENCH_BATCH_REPS", "64"))
-BATCH_SLOTS_CAP = 250
 #: Full-scale bar for the two-stage fabric row: the chained vectorized
 #: replay (KernelStage per stage + link coupling) against the chained
 #: object replay.  The coupling layer is pure array work, so the fabric
@@ -353,71 +337,4 @@ def test_fabric_engines():
     floor = FABRIC_SPEEDUP if slots >= FULL_SCALE_SLOTS else 1.0
     assert speedup >= floor, (
         f"{FABRIC_NAME}: {speedup:.1f}x < {floor}x at {slots} slots"
-    )
-
-
-def test_batched_replication():
-    """Seed-batched replication: identical values, amortized wall-clock.
-
-    ``replicate(engine="vectorized", batch_seeds=True)`` stacks all
-    seeds into one kernel pass (cache-sized seed groups) and folds the
-    per-seed metrics with segmented reductions.  The per-seed *values*
-    must match seed-by-seed replication exactly — asserted everywhere —
-    and the stacked pass must not lose on wall-clock in the many-short-
-    replications regime it exists for (asserted outside CI sandboxes;
-    raise the bar with REPRO_BENCH_MIN_SPEEDUP_BATCH).
-    """
-    from repro.sim.replication import replicate
-
-    n = bench_n()
-    slots = min(bench_slots(), BATCH_SLOTS_CAP)
-    matrix = uniform_matrix(n, LOAD)
-    kwargs = dict(
-        num_slots=slots,
-        replications=BATCH_REPLICATIONS,
-        engine="vectorized",
-        load_label=LOAD,
-    )
-
-    def run_pair():
-        t0 = time.perf_counter()
-        seq = replicate("sprinklers", matrix, **kwargs)
-        t1 = time.perf_counter()
-        bat = replicate("sprinklers", matrix, **kwargs, batch_seeds=True)
-        t2 = time.perf_counter()
-        return seq, bat, t1 - t0, t2 - t1
-
-    run_pair()  # warm both paths (allocator growth, import costs)
-    best_seq, best_bat = float("inf"), float("inf")
-    for _ in range(5):
-        seq, bat, t_seq, t_bat = run_pair()
-        assert bat.values == seq.values  # exact per-seed equality, always
-        best_seq = min(best_seq, t_seq)
-        best_bat = min(best_bat, t_bat)
-    speedup = best_seq / best_bat
-    emit(
-        "Seed-batched replication (sprinklers)",
-        f"{BATCH_REPLICATIONS} seeds x {slots} slots: seed-by-seed "
-        f"{best_seq:.3f}s, batched {best_bat:.3f}s, {speedup:.2f}x",
-    )
-    write_bench_artifact(
-        "engines",
-        {
-            "batched_replication": {
-                "replications": BATCH_REPLICATIONS,
-                "slots": slots,
-                "sequential_s": best_seq,
-                "batched_s": best_bat,
-                "speedup": speedup,
-            }
-        },
-    )
-    if _perf_assertions_disabled():
-        pytest.skip(
-            "wall-clock assertion disabled in CI sandbox (the per-seed "
-            "value-equality assertions above still ran)"
-        )
-    assert speedup >= BATCH_REPLICATION_SPEEDUP, (
-        f"batched replication {speedup:.2f}x < "
-        f"{BATCH_REPLICATION_SPEEDUP}x"
     )

@@ -722,10 +722,13 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
                 )
                 lines.append(f"stage{k} params: {detail}")
         return "\n".join(lines)
+    # Resolve --fabric as a fabric up front: run_single would accept a
+    # plain switch name, and report an unknown name as a switch.
+    fabric = get_fabric(args.fabric).name
     if args.fabrics_command == "run":
         spec = resolve_scenario(args.scenario)
         result = run_single(
-            args.fabric,
+            fabric,
             scenario=spec,
             n=args.n,
             load=args.load,
@@ -737,7 +740,7 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
             backend=args.backend_kernel,
         )
         lines = [
-            f"Scenario {spec.name!r} on fabric {args.fabric} "
+            f"Scenario {spec.name!r} on fabric {fabric} "
             f"(N={args.n}, load {args.load}, {args.slots} slots, "
             f"engine {args.engine})",
         ]
@@ -749,7 +752,7 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
 
         loads = tuple(args.loads) if args.loads else DEFAULT_LOADS
         kwargs = dict(
-            fabric=args.fabric,
+            fabric=fabric,
             pattern=args.pattern,
             n=args.n,
             loads=loads,

@@ -69,7 +69,7 @@ RULE_DOCS: Dict[str, str] = {
     ),
     "REG001": (
         "switch-model capability declaration inconsistent with its "
-        "kernel module (STREAMING/SEED_BATCHED/COMPOSABLE/EXACT_REPLAY)"
+        "kernel module (STREAMING/COMPOSABLE/EXACT_REPLAY)"
     ),
     "REG002": (
         "vectorized coverage floor regressed — a paper-grid switch lost "

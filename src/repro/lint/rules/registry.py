@@ -128,15 +128,6 @@ def _check_registry(builtin: ModuleSource) -> List[Finding]:
                     "%s has no feed/finish streamer class"
                     % (name, model.stream_kernel.__module__),
                 )
-            if Capability.SEED_BATCHED in caps and not any(
-                hasattr(c, "finish_stacked") for c in streamer_classes
-            ):
-                fail(
-                    "REG001",
-                    "switch %r declares seed-batched but no streamer "
-                    "class in %s implements finish_stacked"
-                    % (name, model.stream_kernel.__module__),
-                )
 
     # REG002 — the vectorized + streamed coverage floor.
     vectorized = set(models.available(engine="vectorized"))

@@ -5,13 +5,11 @@ One registry for everything the system knows about a switch algorithm:
 * the **object-engine builder** ``(n, matrix, seed, **params) -> switch``;
 * the optional **vectorized kernel** ``(batch, matrix, seed) ->
   (Departures, extras)`` the batch engine dispatches to;
-* the optional **stream kernel** ``(matrix, seeds, total_slots,
+* the optional **stream kernel** ``(matrix, seed, total_slots,
   **params) -> streamer`` — the kernel's resumable form, replaying a run
-  window-by-window with bounded memory and, where the capability set
-  says ``seed-batched``, many seeds in one stacked pass;
+  window-by-window with bounded memory;
 * a declared **capability set** (:class:`Capability`: exact-replay vs
-  feedback-coupled, supports-drift, supports-adaptive, streaming,
-  seed-batched);
+  feedback-coupled, supports-drift, supports-adaptive, streaming);
 * a **parameter schema** (:class:`ParamSpec`) for constructor knobs.
 
 Usage::
@@ -34,11 +32,6 @@ Registering a custom switch::
 Third-party packages can instead expose a ``repro.switch_models`` entry
 point resolving to a :class:`SwitchModel` (or a factory / list thereof);
 the registry discovers those lazily on first use.
-
-The legacy names (``repro.sim.experiment.SWITCH_BUILDERS`` /
-``build_switch``, ``repro.sim.fast_engine.supports_fast_engine`` /
-``FAST_ENGINE_SWITCHES``) remain as deprecation shims backed by this
-registry.
 """
 
 from .model import Capability, ParamSpec, SwitchModel

@@ -94,7 +94,6 @@ register(SwitchModel(
     capabilities={
         Capability.EXACT_REPLAY,
         Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
     },
 ))
 
@@ -122,7 +121,6 @@ register(SwitchModel(
     capabilities={
         Capability.EXACT_REPLAY,
         Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
     },
     params=(
         ParamSpec("input_buffer", int, None,
@@ -142,7 +140,6 @@ register(SwitchModel(
     capabilities={
         Capability.EXACT_REPLAY,
         Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
     },
 ))
 
@@ -158,7 +155,6 @@ register(SwitchModel(
     capabilities={
         Capability.EXACT_REPLAY,
         Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
     },
     params=(
         ParamSpec("threshold", int, None,
@@ -181,7 +177,6 @@ register(SwitchModel(
     capabilities={
         Capability.EXACT_REPLAY,
         Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
     },
     params=(
         ParamSpec("input_buffer", int, None,
@@ -199,7 +194,6 @@ register(SwitchModel(
     capabilities={
         Capability.EXACT_REPLAY,
         Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
     },
 ))
 

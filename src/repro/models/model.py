@@ -42,10 +42,6 @@ class Capability(str, enum.Enum):
     #: and bit-identical results (``stream_kernel`` is set).  Derived
     #: automatically from the ``stream_kernel`` field at registration.
     STREAMING = "streaming"
-    #: The stream kernel accepts a *list* of seeds and replays them in
-    #: one pass over disjoint per-seed id blocks (multi-seed batched
-    #: replication).  Requires ``stream_kernel``.
-    SEED_BATCHED = "seed-batched"
     #: The switch can serve as one stage of a multi-stage fabric
     #: (:mod:`repro.models.composite`): its finalized slot-windows of
     #: departures are a valid arrival stream for a downstream stage.
@@ -84,10 +80,10 @@ SwitchBuilder = Callable[..., object]
 #: Vectorized kernel signature:
 #: ``(batch, matrix, seed, **params) -> (Departures, extras | None)``.
 VectorizedKernel = Callable[..., tuple]
-#: Stream-kernel factory signature: ``(matrix, seeds, total_slots,
+#: Stream-kernel factory signature: ``(matrix, seed, total_slots,
 #: **params) -> streamer`` where the streamer exposes
-#: ``feed(windows) -> [Departures]`` and ``finish() -> ([Departures],
-#: [extras])`` — one entry per seed.
+#: ``feed(window) -> Departures`` and ``finish(window=None) ->
+#: (Departures, extras | None)``.
 StreamKernel = Callable[..., object]
 
 
@@ -109,7 +105,7 @@ class SwitchModel:
     aliases: Tuple[str, ...] = ()
     reported_name: Optional[str] = None
     kernel: Optional[VectorizedKernel] = None
-    #: Optional resumable (windowed / multi-seed) form of the kernel;
+    #: Optional resumable (windowed) form of the kernel;
     #: setting it implies :data:`Capability.STREAMING`.
     stream_kernel: Optional[StreamKernel] = None
     capabilities: frozenset = field(default_factory=frozenset)
@@ -162,14 +158,6 @@ class SwitchModel:
                         f"switch model {self.name!r} declares "
                         f"{derived.value!r} but has no stream_kernel"
                     )
-        if (
-            Capability.SEED_BATCHED in self.capabilities
-            and self.stream_kernel is None
-        ):
-            raise ValueError(
-                f"switch model {self.name!r} declares "
-                f"{Capability.SEED_BATCHED.value!r} but has no stream_kernel"
-            )
         declared = {p.name for p in self.params}
         stray = set(self.kernel_params) - declared
         if stray:
@@ -179,11 +167,6 @@ class SwitchModel:
             )
 
     # -- engine support --------------------------------------------------------
-
-    @property
-    def seed_batched(self) -> bool:
-        """Whether the stream kernel replays multiple seeds in one pass."""
-        return Capability.SEED_BATCHED in self.capabilities
 
     def supports_engine(self, engine: str, params: Optional[Dict] = None) -> bool:
         """Whether this switch runs natively on ``engine`` (with the

@@ -6,16 +6,13 @@ how to run declarative workload scenarios (:mod:`repro.scenarios`), how
 to cache results in the experiment store (:mod:`repro.store`), and how
 to sweep load levels the way the paper's §6 does.
 
-Switch resolution goes through the switch-model registry exclusively;
-the historical names ``SWITCH_BUILDERS`` and ``build_switch`` remain as
-deprecation shims backed by it (see the module ``__getattr__`` below).
+Switch resolution goes through the switch-model registry exclusively.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -36,10 +33,8 @@ from ..traffic.matrices import diagonal_matrix, uniform_matrix
 
 __all__ = [
     "ENGINES",
-    "SWITCH_BUILDERS",
     "PAPER_SWITCHES",
     "TRAFFIC_PATTERNS",
-    "build_switch",
     "fabric_run_params",
     "resolve_run_params",
     "run_single",
@@ -65,37 +60,6 @@ TRAFFIC_PATTERNS: Dict[str, Callable[[int, float], np.ndarray]] = {
     "uniform": uniform_matrix,
     "diagonal": diagonal_matrix,
 }
-
-
-def build_switch(name: str, n: int, matrix: np.ndarray, seed: int):
-    """Instantiate a switch by registry name.
-
-    .. deprecated::
-        Use ``repro.models.build(name, n, matrix, seed)`` (or
-        ``repro.models.get(name).build(...)`` for parameterized builds).
-    """
-    warnings.warn(
-        "build_switch is deprecated; use repro.models.build / "
-        "repro.models.get(name).build",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return models.build(name, n, matrix, seed)
-
-
-def __getattr__(name: str):
-    if name == "SWITCH_BUILDERS":
-        warnings.warn(
-            "SWITCH_BUILDERS is deprecated; use repro.models.available() "
-            "and repro.models.get(name).build",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            switch: models.get(switch).builder
-            for switch in models.available()
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def single_run_params(

@@ -25,26 +25,17 @@ rather than hardcoding the list.  Switches whose control loops are
 feedback-coupled (adaptive Sprinklers) or not yet modeled (CMS, hashing)
 keep the object engine.
 
-Two scaling modes sit on top of the kernels:
-
-* **Windowed (streaming) replay** — ``run_single_fast(...,
-  window_slots=W)`` draws and replays the run in consecutive ``W``-slot
-  windows through the switch's resumable stream kernel
-  (:data:`~repro.models.Capability.STREAMING`), with bit-identical
-  results and O(``W``) peak arrival-array memory instead of O(run).
-* **Multi-seed batching** — :func:`run_replications_fast` replays many
-  seeds at once through one stream-kernel instance where the kernel
-  supports a seed axis (:data:`~repro.models.Capability.SEED_BATCHED`),
-  amortizing the array-setup overheads that dominate short replications.
-
-The legacy module attributes ``FAST_ENGINE_SWITCHES`` and
-``supports_fast_engine`` are deprecation shims over the registry.
+**Windowed (streaming) replay** — ``run_single_fast(...,
+window_slots=W)`` draws and replays the run in consecutive ``W``-slot
+windows through the switch's resumable stream kernel
+(:data:`~repro.models.Capability.STREAMING`), with bit-identical results
+and O(``W``) peak arrival-array memory instead of O(run).  Independent
+replications run seed by seed (:func:`repro.sim.replication.replicate`).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -57,52 +48,7 @@ from .kernels.base import Departures, composite_argsort
 from .kernels.compiled import compiled_active, kernel_backend
 from .kernels.compiled.fold_pass import fold_running_max
 
-__all__ = [
-    "FAST_ENGINE_SWITCHES",
-    "supports_fast_engine",
-    "run_single_fast",
-    "run_replications_fast",
-]
-
-
-def supports_fast_engine(switch_name: str) -> bool:
-    """Whether ``switch_name`` has a vectorized implementation.
-
-    .. deprecated::
-        Ask the registry instead:
-        ``repro.models.get(name).kernel is not None`` (or membership in
-        ``repro.models.available(engine="vectorized")``).  Unknown names
-        return False, as they always did.
-    """
-    warnings.warn(
-        "supports_fast_engine is deprecated; use repro.models.get(name)"
-        ".kernel / repro.models.available(engine='vectorized')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        return models.get(switch_name).kernel is not None
-    except ValueError:
-        return False
-
-
-def __getattr__(name: str):
-    if name == "FAST_ENGINE_SWITCHES":
-        warnings.warn(
-            "FAST_ENGINE_SWITCHES is deprecated; use "
-            "repro.models.available(engine='vectorized')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return models.available(engine="vectorized")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-#: Target stacked-event count per seed group in the batched replication
-#: path: wide enough to amortize per-call overheads across seeds, small
-#: enough that the stacked working set stays cache-resident (measured
-#: optimum on the engine benchmark; see benchmarks/bench_engines.py).
-_STACK_TARGET_EVENTS = 1 << 14
+__all__ = ["run_single_fast"]
 
 
 # ---------------------------------------------------------------------------
@@ -282,157 +228,6 @@ class _MetricsAccumulator:
             departed=self.departed,
             extras=extras,
         )
-
-
-class _StackedMetricsAccumulator:
-    """Per-seed metrics from one *stacked* multi-seed departure record.
-
-    The seed-batched replay keeps all seeds in one event block (VOQ ids
-    ``seed * n^2 + voq``); folding metrics per seed with segmented
-    reductions (``np.add.at`` / ``bincount`` keyed by the seed block)
-    costs a handful of stacked passes instead of R per-seed accumulator
-    calls plus a split pass — the accounting that used to dominate short
-    batched replications.  Sample retention needs per-seed observation
-    order, so this path serves ``keep_samples=False`` (what replications
-    use); results are identical to the per-seed accumulator.
-    """
-
-    def __init__(self, n: int, num_blocks: int, warmup: int) -> None:
-        self.n = n
-        self.num_blocks = num_blocks
-        self.warmup = warmup
-        big = np.iinfo(np.int64).max
-        self.count = np.zeros(num_blocks, dtype=np.int64)
-        self.total = np.zeros(num_blocks, dtype=np.int64)
-        self.total_sq = np.zeros(num_blocks, dtype=np.int64)
-        self.min = np.full(num_blocks, big, dtype=np.int64)
-        self.max = np.full(num_blocks, -1, dtype=np.int64)
-        self.hist: List[Dict[int, int]] = [{} for _ in range(num_blocks)]
-        self.departed = np.zeros(num_blocks, dtype=np.int64)
-        self.late = np.zeros(num_blocks, dtype=np.int64)
-        self.displacement = np.zeros(num_blocks, dtype=np.int64)
-        self._prev_max = np.full(num_blocks * n * n, -1, dtype=np.int64)
-        self.has_breakdown = False
-        self.assembly_total = np.zeros(num_blocks, dtype=np.int64)
-        self.input_queue_total = np.zeros(num_blocks, dtype=np.int64)
-        self.transit_total = np.zeros(num_blocks, dtype=np.int64)
-
-    @staticmethod
-    def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """Exact int64 per-segment sums via one padded prefix sum."""
-        prefix = np.concatenate(([0], np.cumsum(values)))
-        return prefix[bounds[1:]] - prefix[bounds[:-1]]
-
-    def add(self, dep: Departures) -> None:
-        """Fold a stacked record (``dep.voq`` seed-extended)."""
-        if len(dep.voq) == 0:
-            return
-        n2 = self.n * self.n
-
-        # One (voq, observation) sort serves double duty: it is the
-        # reordering-detector order AND it groups events by seed block
-        # (block is the VOQ id's high digits), so every per-seed
-        # statistic below folds with prefix sums over block slices —
-        # no scattered np.add.at passes.
-        within = dep.wire if dep.wire_is_rank else dep.departure
-        order = composite_argsort(dep.voq, within)
-        voq = dep.voq[order]
-        seq = dep.seq[order]
-        block = voq // n2
-        bounds = np.searchsorted(block, np.arange(self.num_blocks + 1))
-        self.departed += bounds[1:] - bounds[:-1]
-
-        late, prev = _fold_reordering(voq, seq, self._prev_max)
-        if late.any():
-            late_block = block[late]
-            np.add.at(self.late, late_block, 1)
-            np.maximum.at(
-                self.displacement, late_block, prev[late] - seq[late]
-            )
-
-        measured = (dep.arrival >= self.warmup)[order].astype(np.int64)
-        arrival = dep.arrival[order]
-        departure = dep.departure[order]
-        delays = (departure - arrival) * measured
-        self.count += self._segment_sums(measured, bounds)
-        self.total += self._segment_sums(delays, bounds)
-        self.total_sq += self._segment_sums(delays * delays, bounds)
-        is_measured = measured.astype(bool)
-        np.minimum.at(
-            self.min, block[is_measured], delays[is_measured]
-        )
-        np.maximum.at(
-            self.max, block[is_measured], delays[is_measured]
-        )
-        if is_measured.any():
-            # Per-seed exact delay histograms in one stacked unique pass
-            # (composite key: block * stride + delay).
-            mdelays = delays[is_measured]
-            stride = int(mdelays.max()) + 1
-            values, counts = np.unique(
-                block[is_measured] * stride + mdelays, return_counts=True
-            )
-            for key, cnt in zip(values.tolist(), counts.tolist()):
-                h = self.hist[key // stride]
-                delay = key % stride
-                h[delay] = h.get(delay, 0) + cnt
-
-        if dep.assembled is not None and dep.tx is not None:
-            self.has_breakdown = True
-            assembled = dep.assembled[order]
-            tx = dep.tx[order]
-            self.assembly_total += self._segment_sums(
-                (assembled - arrival) * measured, bounds
-            )
-            self.input_queue_total += self._segment_sums(
-                (tx - assembled) * measured, bounds
-            )
-            self.transit_total += self._segment_sums(
-                (departure - tx) * measured, bounds
-            )
-
-    def results(
-        self,
-        switch_name: str,
-        injected: Sequence[int],
-        num_slots: int,
-        load_label: float,
-        extras: Sequence[Optional[Dict[str, float]]],
-    ) -> List[SimulationResult]:
-        out = []
-        for b in range(self.num_blocks):
-            metrics = SimulationMetrics(keep_samples=False)
-            stats = metrics.delays
-            stats.count = int(self.count[b])
-            stats.total = int(self.total[b])
-            stats.total_sq = int(self.total_sq[b])
-            if stats.count:
-                stats.min = int(self.min[b])
-                stats.max = int(self.max[b])
-            stats._hist = dict(self.hist[b])
-            metrics.measured_departures = stats.count
-            metrics.reordering.observed = int(self.departed[b])
-            metrics.reordering.late_packets = int(self.late[b])
-            metrics.reordering.max_displacement = int(self.displacement[b])
-            if self.has_breakdown:
-                metrics.breakdown_count = stats.count
-                metrics.assembly_total = int(self.assembly_total[b])
-                metrics.input_queue_total = int(self.input_queue_total[b])
-                metrics.transit_total = int(self.transit_total[b])
-            out.append(
-                SimulationResult(
-                    switch_name=switch_name,
-                    n=self.n,
-                    load=load_label,
-                    slots=num_slots,
-                    warmup=self.warmup,
-                    metrics=metrics,
-                    injected=int(injected[b]),
-                    departed=int(self.departed[b]),
-                    extras=extras[b],
-                )
-            )
-        return out
 
 
 def _result_from_departures(
@@ -632,147 +427,3 @@ def run_single_fast(
     return acc.result(
         model.reported_name, injected, num_slots, load_label, extras
     )
-
-
-def run_replications_fast(
-    switch_name: str,
-    matrix,
-    num_slots: int,
-    seeds: Sequence[int],
-    load_label: float = float("nan"),
-    warmup_fraction: float = 0.1,
-    keep_samples: bool = True,
-    batch_traffics: Optional[Sequence[BatchTrafficGenerator]] = None,
-    switch_params: Optional[Dict] = None,
-    window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> List[SimulationResult]:
-    """Replay many seeds of one configuration in a single kernel pass.
-
-    All seeds' traffic is drawn window-by-window and stacked into one
-    event block per window; the switch's stream kernel replays the stack
-    with a leading seed axis (disjoint per-seed id blocks, so the seeds'
-    dynamics stay exactly independent).  Per-seed results are
-    bit-identical to ``run_single_fast`` run seed-by-seed — what changes
-    is wall-clock: one array pass over R seeds' events amortizes the
-    per-call overheads that dominate short replications.
-
-    Requires the model to declare
-    :data:`~repro.models.Capability.SEED_BATCHED` — which every
-    vectorized switch does, the frame-at-a-time PF/FOFF included: their
-    array-stepped formation engine treats each (seed, input) pair as one
-    more lane, so stacking seeds widens the per-cycle vector step
-    instead of multiplying the step count.
-
-    ``batch_traffics`` substitutes pre-built per-seed packet sources (one
-    per seed, e.g. scenario traffic); ``window_slots`` bounds arrival
-    memory exactly as in :func:`run_single_fast` (default: one window);
-    ``backend`` selects the kernel backend exactly as there.
-    """
-    if backend is not None:
-        with kernel_backend(backend):
-            return run_replications_fast(
-                switch_name,
-                matrix,
-                num_slots,
-                seeds,
-                load_label=load_label,
-                warmup_fraction=warmup_fraction,
-                keep_samples=keep_samples,
-                batch_traffics=batch_traffics,
-                switch_params=switch_params,
-                window_slots=window_slots,
-            )
-    switch_params = switch_params or {}
-    model = _checked_model(switch_name, switch_params)
-    if model.stream_kernel is None or not model.seed_batched:
-        known = ", ".join(
-            models.available(engine="vectorized", capability="seed-batched")
-        )
-        raise ValueError(
-            f"switch {switch_name!r} has no seed-batched kernel "
-            f"(seed-batched switches: {known}); replicate seed-by-seed"
-        )
-    if num_slots <= 0:
-        raise ValueError("num_slots must be positive")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
-    matrix = validate_matrix(matrix)
-    n = matrix.shape[0]
-    seeds = list(seeds)
-    if batch_traffics is None:
-        batch_traffics = [
-            BatchTrafficGenerator(matrix, traffic_rng(seed))
-            for seed in seeds
-        ]
-    if len(batch_traffics) != len(seeds):
-        raise ValueError("need one traffic source per seed")
-    for traffic in batch_traffics:
-        if traffic.n != n:
-            raise ValueError("batch traffic size does not match matrix")
-    window = window_slots if window_slots is not None else num_slots
-    if window <= 0:
-        raise ValueError("window_slots must be positive")
-
-    warmup = int(num_slots * warmup_fraction)
-    if window >= num_slots and not keep_samples:
-        # One window is the whole run and nobody wants samples: draw each
-        # seed monolithically, flush the stacked replay in a single pass,
-        # and fold per-seed metrics with segmented reductions over the
-        # stack — the default (and fastest) multi-seed batching mode.
-        # Seeds are stacked in cache-sized groups: stacking amortizes
-        # per-call overheads, but an over-wide stack spills the working
-        # set out of cache and loses more than it amortizes.
-        per_seed = max(1.0, float(np.sum(matrix)) * num_slots)
-        group = max(1, min(len(seeds), int(_STACK_TARGET_EVENTS / per_seed)))
-        results: List[SimulationResult] = []
-        for lo in range(0, len(seeds), group):
-            chunk = seeds[lo : lo + group]
-            with telemetry.trace(
-                "replay.seed_batch", seeds=len(chunk), slots=num_slots
-            ):
-                streamer = model.stream_kernel(
-                    matrix, chunk, num_slots, **switch_params
-                )
-                batches = [
-                    t.draw(num_slots)
-                    for t in batch_traffics[lo : lo + group]
-                ]
-                dep, extras = streamer.finish_stacked(batches)
-                acc = _StackedMetricsAccumulator(n, len(chunk), warmup)
-                acc.add(dep)
-            results.extend(
-                acc.results(
-                    model.reported_name,
-                    [len(b) for b in batches],
-                    num_slots,
-                    load_label,
-                    extras,
-                )
-            )
-        return results
-    streamer = model.stream_kernel(matrix, seeds, num_slots, **switch_params)
-    accs = [
-        _MetricsAccumulator(n, warmup, keep_samples) for _ in seeds
-    ]
-    injected = [0] * len(seeds)
-    if window >= num_slots:
-        batches = [t.draw(num_slots) for t in batch_traffics]
-        injected = [len(b) for b in batches]
-        final, extras = streamer.finish(batches)
-    else:
-        draws = [t.draw_chunks(num_slots, window) for t in batch_traffics]
-        for windows in zip(*draws):
-            for r, w in enumerate(windows):
-                injected[r] += len(w)
-            for r, dep in enumerate(streamer.feed(list(windows))):
-                accs[r].add(dep)
-        final, extras = streamer.finish()
-    for r, dep in enumerate(final):
-        accs[r].add(dep)
-    return [
-        accs[r].result(
-            model.reported_name, injected[r], num_slots, load_label, extras[r]
-        )
-        for r in range(len(seeds))
-    ]

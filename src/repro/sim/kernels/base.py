@@ -24,7 +24,8 @@ engine's.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import math
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ __all__ = [
     "Departures",
     "PolledQueueBank",
     "UnitAssembler",
-    "WindowStacker",
+    "WindowedStream",
     "composite_argsort",
     "concat_ranges",
     "fifo_service",
@@ -46,7 +47,6 @@ __all__ = [
     "replay_polled_queues",
     "row_residues",
     "segmented_fifo_service",
-    "stable_id_argsort",
     "unit_completion",
 ]
 
@@ -68,18 +68,6 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - counts), counts) + np.arange(
         total, dtype=np.int64
     )
-
-
-def stable_id_argsort(ids: np.ndarray, id_space: int) -> np.ndarray:
-    """Stable argsort of small nonnegative ids (radix path when they fit).
-
-    The generalization of :func:`repro.traffic.batch.stable_voq_argsort`
-    to an arbitrary id space — the streamed kernels group by seed-extended
-    VOQ ids (``seed * n^2 + voq``), which outgrow ``n^2``.
-    """
-    if id_space <= np.iinfo(np.uint16).max:
-        return np.argsort(ids.astype(np.uint16), kind="stable")
-    return np.argsort(ids, kind="stable")
 
 
 def composite_argsort(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -166,7 +154,10 @@ def replay_polled_queues(
         # Caller promises events already sit in (level, order) order
         # within each queue, so a *stable* sort by queue alone suffices —
         # radix-cheap while the packed ids fit 16 bits.
-        grouping = stable_id_argsort(packed, int(packed.max()) + 1)
+        key = packed
+        if int(packed.max()) <= np.iinfo(np.uint16).max:
+            key = packed.astype(np.uint16)
+        grouping = np.argsort(key, kind="stable")
     else:
         grouping = composite_argsort(packed, order)
     packed_sorted = packed[grouping]
@@ -393,12 +384,9 @@ class Departures:
 #   fresh peel over polls >= ``B`` only.
 # * a :class:`UnitAssembler` holds each VOQ's trailing partial
 #   aggregation unit (stripe/frame) until later arrivals complete it.
-# * a :class:`WindowStacker` assigns run-global generation indices (the
-#   FIFO tie-breaks of the monolithic kernels) across windows, and
-#   stacks multiple seeds' windows into disjoint id blocks for the
-#   multi-seed replay (block ``s`` uses VOQ ids ``s * n^2 + voq``; queues
-#   of different blocks never interact, so one replay pass serves every
-#   seed at once).
+# * a :class:`WindowedStream` (the shell every stream kernel builds on)
+#   numbers arrivals with run-global generation indices — the FIFO
+#   tie-breaks of the monolithic kernels — across windows.
 
 
 class PolledQueueBank:
@@ -486,6 +474,7 @@ class UnitAssembler:
     def __init__(self, unit_size: np.ndarray) -> None:
         self._size = np.asarray(unit_size, dtype=np.int64)
         self._num = len(self._size)
+        self._n = math.isqrt(self._num)
         #: Rank of the next packet to arrive per VOQ.
         self._rank_next = np.zeros(self._num, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
@@ -518,7 +507,7 @@ class UnitAssembler:
         # first (lower concat index and lower ranks), new packets follow
         # in generation order, so group ranks are consecutive from the
         # group's first buffered rank — no per-packet rank storage.
-        order = stable_id_argsort(voq, self._num)
+        order = stable_voq_argsort(voq, self._n)
         voq_s = voq[order]
         slot_s = slot[order]
         seq_s = seq[order]
@@ -555,48 +544,49 @@ class UnitAssembler:
         )
 
 
-class WindowStacker:
-    """Stack per-seed arrival windows into one disjoint-id event block.
+class WindowedStream:
+    """The shell every stream kernel builds on: one seed, window at a time.
 
-    Tracks per-block generation counters so every packet gets the same
-    run-global generation index it would have in a monolithic batch (the
-    FIFO tie-break the kernels key on), and checks the windows advance in
-    lock-step.
+    ``feed(window)`` returns the :class:`Departures` finalized strictly
+    before ``window.end_slot``; ``finish(window=None)`` consumes the
+    optional last window, flushes all carried state and returns
+    ``(Departures, extras)``.  Subclasses implement :meth:`_round` over
+    the window's arrival arrays and :meth:`_extras`.
+
+    Arrivals are numbered with run-global generation indices (a window's
+    packets continue where the previous window's stopped), so every
+    packet carries the FIFO tie-break it has in a monolithic batch.
     """
 
-    def __init__(self, num_blocks: int) -> None:
-        self._gnext = np.zeros(num_blocks, dtype=np.int64)
-        self.num_blocks = num_blocks
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._gnext = 0
 
-    def stack(self, windows) -> Tuple[np.ndarray, ...]:
-        """Returns ``(block, slots, inputs, outputs, seqs, gidx, boundary)``.
+    def _arrivals(
+        self, window: Optional[ArrivalBatch]
+    ) -> Tuple[np.ndarray, ...]:
+        """``(slots, inputs, outputs, seqs, gidx)`` of one window."""
+        if window is None:
+            return (np.empty(0, dtype=np.int64),) * 5
+        count = len(window)
+        gidx = np.arange(self._gnext, self._gnext + count, dtype=np.int64)
+        self._gnext += count
+        return window.slots, window.inputs, window.outputs, window.seqs, gidx
 
-        ``block[k]`` is the window (seed) index of event ``k``; ``gidx``
-        is the per-block generation index; ``boundary`` is the common end
-        slot of the windows (events of later windows are all at or past
-        it).
-        """
-        if len(windows) != self.num_blocks:
-            raise ValueError(
-                f"expected {self.num_blocks} windows, got {len(windows)}"
-            )
-        spans = {(w.start_slot, w.num_slots) for w in windows}
-        if len(spans) != 1:
-            raise ValueError("seed windows must cover the same slot range")
-        parts_b, parts_g = [], []
-        for b, w in enumerate(windows):
-            count = len(w)
-            parts_b.append(np.full(count, b, dtype=np.int64))
-            parts_g.append(
-                self._gnext[b] + np.arange(count, dtype=np.int64)
-            )
-            self._gnext[b] += count
-        return (
-            np.concatenate(parts_b),
-            np.concatenate([w.slots for w in windows]),
-            np.concatenate([w.inputs for w in windows]),
-            np.concatenate([w.outputs for w in windows]),
-            np.concatenate([w.seqs for w in windows]),
-            np.concatenate(parts_g),
-            windows[0].end_slot,
-        )
+    def _round(
+        self, arrivals: Tuple[np.ndarray, ...], boundary: Optional[int]
+    ) -> Departures:
+        """Absorb arrivals; return departures finalized below ``boundary``
+        (``None``: flush everything)."""
+        raise NotImplementedError
+
+    def _extras(self) -> Optional[Dict[str, float]]:
+        return None
+
+    def feed(self, window: ArrivalBatch) -> Departures:
+        return self._round(self._arrivals(window), window.end_slot)
+
+    def finish(
+        self, window: Optional[ArrivalBatch] = None
+    ) -> Tuple[Departures, Optional[Dict[str, float]]]:
+        return self._round(self._arrivals(window), None), self._extras()

@@ -33,11 +33,10 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    WindowedStream,
     composite_argsort,
     mid_residues,
     replay_polled_queues,
-    stable_id_argsort,
 )
 from .frames import (
     FrameFormationStream,
@@ -210,8 +209,8 @@ def _voq_first_seq(batch: ArrivalBatch) -> np.ndarray:
     return first[batch.voqs]
 
 
-class _FoffStream:
-    """Windowed (and seed-stacked) replay of the FOFF switch.
+class _FoffStream(WindowedStream):
+    """Windowed replay of the FOFF switch.
 
     The input side streams like PF without padding; the new carried
     state is the in-flight resequencer replay: per VOQ, the next rank
@@ -222,33 +221,26 @@ class _FoffStream:
     ``max_resequencer`` extra.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        num_voqs = self.num_blocks * n * n
-        self._stacker = WindowStacker(self.num_blocks)
-        self._formation = FrameFormationStream(
-            n, self.num_blocks, foff_rule()
-        )
-        self._packets = FramedPacketBuffer(num_voqs)
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix.shape[0])
+        n = self.n
+        self._formation = FrameFormationStream(n, foff_rule())
+        self._packets = FramedPacketBuffer(n)
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
         self._cut = drain_cut(total_slots, n)
         # Resequencer replay state.
-        self._next_rank = np.zeros(num_voqs, dtype=np.int64)
-        self._run_max = np.full(num_voqs, -1, dtype=np.int64)
-        self._trig_mid = np.zeros(num_voqs, dtype=np.int64)
+        self._next_rank = np.zeros(n * n, dtype=np.int64)
+        self._run_max = np.full(n * n, -1, dtype=np.int64)
+        self._trig_mid = np.zeros(n * n, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         # Wire-arrived packets whose release awaits a predecessor:
-        # (voq_x, rank, wire, mid, seq, slot, assembled, tx).
+        # (voq, rank, wire, mid, seq, slot, assembled, tx).
         self._held = (empty,) * 8
-        # Per-block observation-rank counters, per-(block, output)
-        # resequencer occupancies, per-block peaks.
-        self._obs_next = np.zeros(self.num_blocks, dtype=np.int64)
-        self._occupancy = np.zeros(self.num_blocks * n, dtype=np.int64)
-        self._peak = np.zeros(self.num_blocks, dtype=np.int64)
+        # Observation-rank counter, per-output resequencer occupancies,
+        # peak occupancy.
+        self._obs_next = 0
+        self._occupancy = np.zeros(n, dtype=np.int64)
+        self._peak = 0
 
     def _resequence(self, new):
         """Absorb newly wire-arrived packets; release what is now in order.
@@ -256,7 +248,6 @@ class _FoffStream:
         Returns the released packets' arrays plus their departures and
         trigger mids, and the occupancy delta events of this round.
         """
-        n = self.n
         voq, rank, wire, mid, seq, slot, assembled, tx = tuple(
             np.concatenate([old, fresh])
             for old, fresh in zip(self._held, new)
@@ -325,7 +316,7 @@ class _FoffStream:
         ) + held_events
 
     def _occupancy_events(self, released, held_events, final: bool):
-        """Feed this round's resequencer-buffer deltas; update the peaks.
+        """Feed this round's resequencer-buffer deltas; update the peak.
 
         Mirrors the monolithic :func:`_resequencer_peak` accounting —
         exactly one event per packet, at its wire-arrival slot: +1 for a
@@ -355,9 +346,7 @@ class _FoffStream:
         # arrived) and newly arrived held packets; previously buffered
         # released packets already counted.
         emit = ~held_p | new_p.astype(bool)
-        voq_e = voq_p[emit]
-        out = np.concatenate([voq_e % n, h_voq % n])
-        block = np.concatenate([voq_e, h_voq]) // (n * n)
+        out = np.concatenate([voq_p[emit] % n, h_voq % n])
         wire = np.concatenate([wire_p[emit], h_wire])
         delta = np.concatenate(
             [delta_p[emit], np.ones(len(h_voq), dtype=np.int64)]
@@ -367,70 +356,49 @@ class _FoffStream:
             # Wire arrivals past the drain horizon never reach the
             # output in the object engine; their events do not exist.
             live = wire <= self._cut
-            out, block, wire, delta, held = (
-                out[live], block[live], wire[live], delta[live], held[live]
+            out, wire, delta, held = (
+                out[live], wire[live], delta[live], held[live]
             )
         if len(out) == 0:
             return
-        out_x = block * n + out
-        order = composite_argsort(out_x, wire)
-        out_x, delta, held, block = (
-            out_x[order], delta[order], held[order], block[order]
-        )
+        order = composite_argsort(out, wire)
+        out, delta, held = out[order], delta[order], held[order]
         running = np.cumsum(delta)
-        starts = np.r_[True, out_x[1:] != out_x[:-1]]
+        starts = np.r_[True, out[1:] != out[:-1]]
         seg = np.cumsum(starts) - 1
         seg_first = np.flatnonzero(starts)
         before = np.r_[0, running[:-1]]
         occupancy = (
-            self._occupancy[out_x]
+            self._occupancy[out]
             + running
             - before[seg_first[seg]]
         )
         bounds = np.flatnonzero(np.r_[starts, True])
         last = bounds[1:] - 1
-        self._occupancy[out_x[last]] = occupancy[last]
+        self._occupancy[out[last]] = occupancy[last]
         if held.any():
-            np.maximum.at(self._peak, block[held], occupancy[held])
+            self._peak = max(self._peak, int(occupancy[held].max()))
 
-    def _cut_released(self, released, final: bool):
-        """The released packets an emit may observe: past the object
-        engine's finite drain horizon, packets stay in the resequencers
-        there, unobserved.  Shared by both emit paths so the per-seed
-        and stacked records can never diverge on the cut."""
+    def _emit(self, released, final: bool):
+        """Departures of the released packets, ``wire`` a run-global
+        observation rank."""
         (voq_p, rank_p, wire_p, mid_p, seq_p, slot_p, asm_p, tx_p,
          departure, t_mid, new_p) = released
         if final:
+            # Past the object engine's finite drain horizon, packets stay
+            # in the resequencers there, unobserved.
             ok = departure <= self._cut
             (voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid) = (
                 voq_p[ok], rank_p[ok], seq_p[ok], slot_p[ok], asm_p[ok],
                 tx_p[ok], departure[ok], t_mid[ok],
             )
-        return voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid
-
-    def _emit_stacked(self, released, final: bool):
-        """One seed-extended Departures record with per-block observation
-        ranks (the stacked metrics fold compares ranks only within a
-        block, so a block-major composite sort assigns them in one pass).
-        """
-        n = self.n
-        (voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid) = (
-            self._cut_released(released, final)
+        observation = composite_argsort(departure * self.n + t_mid, rank_p)
+        count = len(observation)
+        wire = np.empty(count, dtype=np.int64)
+        wire[observation] = np.arange(
+            self._obs_next, self._obs_next + count, dtype=np.int64
         )
-        block = voq_p // (n * n)
-        observation = composite_argsort(
-            (block * np.int64(self._cut + 2) + departure) * n + t_mid, rank_p
-        )
-        counts = np.bincount(block, minlength=self.num_blocks)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        sorted_block = block[observation]
-        within = (
-            np.arange(len(observation), dtype=np.int64)
-            - starts[sorted_block]
-        )
-        wire = np.empty(len(observation), dtype=np.int64)
-        wire[observation] = self._obs_next[sorted_block] + within
-        self._obs_next += counts
+        self._obs_next += count
         return Departures(
             voq=voq_p,
             seq=seq_p,
@@ -442,104 +410,35 @@ class _FoffStream:
             wire_is_rank=True,
         )
 
-    def _emit(self, released, final: bool):
-        """Build per-block Departures with global observation ranks.
-
-        One stable sort by seed block plus contiguous slices (the
-        :func:`~repro.sim.kernels.sprinklers._split_blocks` pattern)
-        instead of one boolean-mask pass per seed; within-block order is
-        preserved, so the per-block records are unchanged.
-        """
+    def _round(self, arrivals, boundary):
         n = self.n
-        (voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid) = (
-            self._cut_released(released, final)
+        slots, inputs, outputs, seqs, gidx = arrivals
+        schedule = self._formation.feed(slots, inputs, outputs, boundary)
+        voq, slot, seq, _, rank, assembled, position = self._packets.feed(
+            inputs * n + outputs, slots, seqs, gidx, schedule
         )
-        block = voq_p // (n * n)
-        order = stable_id_argsort(block, self.num_blocks)
-        voq_s = voq_p[order] % (n * n)
-        seq_s = seq_p[order]
-        slot_s = slot_p[order]
-        asm_s = asm_p[order]
-        tx_s = tx_p[order]
-        dep_s = departure[order]
-        mid_s = t_mid[order]
-        rank_s = rank_p[order]
-        bounds = np.concatenate((
-            [0], np.cumsum(np.bincount(block, minlength=self.num_blocks)),
-        ))
-        deps = []
-        for b in range(self.num_blocks):
-            lo, hi = bounds[b], bounds[b + 1]
-            observation = composite_argsort(
-                dep_s[lo:hi] * n + mid_s[lo:hi], rank_s[lo:hi]
-            )
-            wire = np.empty(len(observation), dtype=np.int64)
-            wire[observation] = self._obs_next[b] + np.arange(
-                len(observation), dtype=np.int64
-            )
-            self._obs_next[b] += len(observation)
-            deps.append(
-                Departures(
-                    voq=voq_s[lo:hi],
-                    seq=seq_s[lo:hi],
-                    arrival=slot_s[lo:hi],
-                    departure=dep_s[lo:hi],
-                    wire=wire,
-                    assembled=asm_s[lo:hi],
-                    tx=tx_s[lo:hi],
-                    wire_is_rank=True,
-                )
-            )
-        return deps
-
-    def _advance(self, schedule, framed, boundary, stacked: bool = False):
-        n = self.n
-        voq_x, slot, seq, gidx, rank, assembled, position = framed
         tx = assembled + position
-        block = voq_x // (n * n)
-        out = voq_x % n
         wire, tx, payload = self._stage2.feed(
-            block * n * n + position * n + out,
+            position * n + voq % n,
             np.zeros(len(tx), dtype=np.int64),
             tx + 1,
             tx,
-            (voq_x, rank, position, seq, slot, assembled),
+            (voq, rank, position, seq, slot, assembled),
             boundary,
         )
-        voq_x, rank, position, seq, slot, assembled = payload
-        arrived = (voq_x, rank, wire, position, seq, slot, assembled, tx)
+        voq, rank, position, seq, slot, assembled = payload
+        arrived = (voq, rank, wire, position, seq, slot, assembled, tx)
         result = self._resequence(arrived)
         released, held_events = result[:11], result[11:]
         final = boundary is None
         self._occupancy_events(released, held_events, final)
-        if stacked:
-            return self._emit_stacked(released, final)
         return self._emit(released, final)
 
-    def _round(self, windows, final: bool, stacked: bool = False):
-        n = self.n
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            voq_x = block * n * n + inputs * n + outputs
-        else:
-            block = slots = inputs = outputs = seqs = gidx = voq_x = (
-                np.empty(0, dtype=np.int64)
-            )
-        schedule = self._formation.feed(
-            block, slots, inputs, outputs, boundary
-        )
-        framed = self._packets.feed(voq_x, slots, seqs, gidx, schedule)
-        return self._advance(schedule, framed, boundary, stacked=stacked)
+    def _extras(self):
+        return {"max_resequencer": float(self._peak)}
 
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def _check_drained(self):
+    def finish(self, window=None):
+        final = super().finish(window)
         # FOFF never leaves a packet behind: partial frames sweep every
         # nonempty VOQ, so the whole stream must have been framed and
         # every wire arrival released.
@@ -549,26 +448,9 @@ class _FoffStream:
         assert len(self._held[0]) == 0, (
             "FOFF resequencer replay left packets in flight"
         )
-
-    def _extras(self):
-        return [
-            {"max_resequencer": float(self._peak[b])}
-            for b in range(self.num_blocks)
-        ]
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        self._check_drained()
-        return deps, self._extras()
-
-    def finish_stacked(self, windows=None):
-        """Like :meth:`finish`, but returns the seed-extended stacked
-        record (no per-seed split) for the stacked metrics fold."""
-        dep = self._round(windows, final=True, stacked=True)
-        self._check_drained()
-        return dep, self._extras()
+        return final
 
 
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _FoffStream:
-    """Resumable multi-seed FOFF replay (see :class:`_FoffStream`)."""
-    return _FoffStream(matrix, seeds, total_slots)
+def stream(matrix: np.ndarray, seed: int, total_slots: int) -> _FoffStream:
+    """Resumable FOFF replay (see :class:`_FoffStream`)."""
+    return _FoffStream(matrix, seed, total_slots)

@@ -12,8 +12,8 @@ switch), and occupancies are arrivals-so-far minus packets already taken
 *sequential per input but exactly replayable*.
 
 The production path is the **array-stepped formation engine**
-(:class:`_LaneFormation`): every ``(seed block, input)`` pair is one
-*lane*, and all lanes advance through their cycle recursions in lock-step
+(:class:`_LaneFormation`): every input is one *lane*, and all lanes
+advance through their cycle recursions in lock-step
 — one NumPy pass per cycle index covering every lane at that cycle
 (occupancy deltas gathered from the cycle-sorted arrival buffer, the
 PF/FOFF pickers as masked argmax/argmin selections, round-robin pointers
@@ -21,12 +21,11 @@ as vectors).  Cycle indices at which no lane has a decision to make are
 skipped in one jump: the global cursor moves to the smallest pending
 lane cycle, so quiescent spans between arrivals cost nothing.  A run's
 formation is O(num_cycles) vector steps instead of O(num_slots) Python
-iterations, and stacking seeds widens the per-step arrays instead of
-multiplying the step count — which is what makes PF/FOFF seed-batchable.
+iterations.
 
 :func:`build_frame_schedule` runs the engine over a monolithic batch;
-:class:`FrameFormationStream` is its resumable (windowed / multi-seed)
-form; :func:`frame_membership` maps every packet to its frame with one
+:class:`FrameFormationStream` is its resumable (windowed) form;
+:func:`frame_membership` maps every packet to its frame with one
 composite searchsorted.  The original per-input scalar recursion
 (:class:`_InputFormation` driven by :data:`Picker` closures) is retained
 as the *test-only reference* — :func:`reference_frame_schedule` /
@@ -48,7 +47,7 @@ import numpy as np
 
 from ... import telemetry
 from ...traffic.batch import ArrivalBatch, stable_voq_argsort
-from .base import concat_ranges, stable_id_argsort
+from .base import concat_ranges
 from .compiled import compiled_active
 from .compiled.frames_pass import form_lanes
 
@@ -227,7 +226,7 @@ def foff_picker(n: int) -> Picker:
 
 
 class _LaneFormation:
-    """Lock-step frame formation across all ``(block, input)`` lanes.
+    """Lock-step frame formation across all input lanes.
 
     Carried state is flat per-lane arrays: the ``(lane, voq)`` occupancy
     and taken grids, the round-robin pointers, and each lane's current
@@ -254,23 +253,21 @@ class _LaneFormation:
     scalar reference recursion, step-skipping included.
     """
 
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
+    def __init__(self, n: int, rule: FormationRule) -> None:
         if rule.kind not in ("pf", "foff"):
             raise ValueError(f"unknown formation rule kind {rule.kind!r}")
         self.n = n
-        self.num_lanes = num_blocks * n
         self.rule = rule
-        lanes = np.arange(self.num_lanes, dtype=np.int64)
-        inputs = lanes % n
+        lanes = np.arange(n, dtype=np.int64)
         #: Cycle-boundary slot of lane cycle ``c`` is ``residue + c * n``.
-        self.residue = (n - inputs) % n
-        self.voq_base = (lanes // n) * n * n + inputs * n
-        self.avail = np.zeros(self.num_lanes * n, dtype=np.int64)
-        self._avail2d = self.avail.reshape(self.num_lanes, n)
-        self.taken = np.zeros((self.num_lanes, n), dtype=np.int64)
-        self.full_rr = np.zeros(self.num_lanes, dtype=np.int64)
-        self.partial_rr = np.zeros(self.num_lanes, dtype=np.int64)
-        self.cycle = np.zeros(self.num_lanes, dtype=np.int64)
+        self.residue = (n - lanes) % n
+        self.voq_base = lanes * n
+        self.avail = np.zeros(n * n, dtype=np.int64)
+        self._avail2d = self.avail.reshape(n, n)
+        self.taken = np.zeros((n, n), dtype=np.int64)
+        self.full_rr = np.zeros(n, dtype=np.int64)
+        self.partial_rr = np.zeros(n, dtype=np.int64)
+        self.cycle = np.zeros(n, dtype=np.int64)
         #: ``_RRTAB[p, j] = (j - p) mod n``: the cyclic-RR preference of
         #: VOQ ``j`` behind pointer ``p`` — one row gather per step
         #: instead of a broadcast subtract + mod.
@@ -322,7 +319,7 @@ class _LaneFormation:
         self._ctag = tag[order]
         self._ccell = cell[order]
         self._g = 0
-        lorder = stable_id_argsort(lane, self.num_lanes)
+        lorder = stable_voq_argsort(lane, n)
         self._stride = int(tag.max()) + 2
         self._ltag = tag[lorder]
         self._lkey = lane[lorder] * self._stride + self._ltag
@@ -343,9 +340,9 @@ class _LaneFormation:
         ctag = self._ctag
         ccell = self._ccell
         num_events = len(ctag)
-        num_cells = self.num_lanes * n
+        num_cells = n * n
         lim = (
-            np.full(self.num_lanes, _INT64_MAX, dtype=np.int64)
+            np.full(n, _INT64_MAX, dtype=np.int64)
             if limit is None
             else limit
         )
@@ -487,27 +484,25 @@ class _CompiledLaneFormation:
     still appear in ascending formation order.
     """
 
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
+    def __init__(self, n: int, rule: FormationRule) -> None:
         if rule.kind not in ("pf", "foff"):
             raise ValueError(f"unknown formation rule kind {rule.kind!r}")
         self.n = n
-        self.num_lanes = num_blocks * n
         self.rule = rule
-        lanes = np.arange(self.num_lanes, dtype=np.int64)
-        inputs = lanes % n
+        lanes = np.arange(n, dtype=np.int64)
         #: Cycle-boundary slot of lane cycle ``c`` is ``residue + c * n``.
-        self.residue = (n - inputs) % n
-        self.voq_base = (lanes // n) * n * n + inputs * n
-        self.avail = np.zeros((self.num_lanes, n), dtype=np.int64)
-        self.taken = np.zeros((self.num_lanes, n), dtype=np.int64)
-        self.full_rr = np.zeros(self.num_lanes, dtype=np.int64)
-        self.partial_rr = np.zeros(self.num_lanes, dtype=np.int64)
-        self.cycle = np.zeros(self.num_lanes, dtype=np.int64)
+        self.residue = (n - lanes) % n
+        self.voq_base = lanes * n
+        self.avail = np.zeros((n, n), dtype=np.int64)
+        self.taken = np.zeros((n, n), dtype=np.int64)
+        self.full_rr = np.zeros(n, dtype=np.int64)
+        self.partial_rr = np.zeros(n, dtype=np.int64)
+        self.cycle = np.zeros(n, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         self._plane = empty
         self._ptag = empty
         self._pout = empty
-        self._pstart = np.zeros(self.num_lanes + 1, dtype=np.int64)
+        self._pstart = np.zeros(n + 1, dtype=np.int64)
 
     def absorb(
         self, lanes: np.ndarray, tags: np.ndarray, outs: np.ndarray
@@ -523,10 +518,10 @@ class _CompiledLaneFormation:
         tag = np.concatenate([self._ptag, tags])
         out = np.concatenate([self._pout, outs])
         if len(lane):
-            order = stable_id_argsort(lane, self.num_lanes)
+            order = stable_voq_argsort(lane, self.n)
             lane, tag, out = lane[order], tag[order], out[order]
         self._plane, self._ptag, self._pout = lane, tag, out
-        counts = np.bincount(lane, minlength=self.num_lanes)
+        counts = np.bincount(lane, minlength=self.n)
         self._pstart = np.concatenate(([0], np.cumsum(counts)))
 
     def run(self, limit: Optional[np.ndarray]) -> FrameSchedule:
@@ -534,7 +529,7 @@ class _CompiledLaneFormation:
         ``limit=None`` runs the drain-quiescence loop."""
         drain = limit is None
         lim = (
-            np.full(self.num_lanes, _INT64_MAX, dtype=np.int64)
+            np.full(self.n, _INT64_MAX, dtype=np.int64)
             if drain
             else np.ascontiguousarray(limit, dtype=np.int64)
         )
@@ -546,7 +541,7 @@ class _CompiledLaneFormation:
         f_size = np.empty(bound, dtype=np.int64)
         f_fakes = np.empty(bound, dtype=np.int64)
         f_slot = np.empty(bound, dtype=np.int64)
-        consumed = np.zeros(self.num_lanes, dtype=np.int64)
+        consumed = np.zeros(self.n, dtype=np.int64)
         count, jumps = form_lanes(
             self.n,
             self.rule.kind == "pf",
@@ -576,7 +571,7 @@ class _CompiledLaneFormation:
             self._plane = self._plane[keep]
             self._ptag = self._ptag[keep]
             self._pout = self._pout[keep]
-            counts = np.bincount(self._plane, minlength=self.num_lanes)
+            counts = np.bincount(self._plane, minlength=self.n)
             self._pstart = np.concatenate(([0], np.cumsum(counts)))
         if telemetry.enabled():
             telemetry.count("kernel.frames.lane_advances", int(count))
@@ -590,12 +585,12 @@ class _CompiledLaneFormation:
         )
 
 
-def _make_formation(n: int, num_blocks: int, rule: FormationRule):
+def _make_formation(n: int, rule: FormationRule):
     """The active backend's formation engine (NumPy lock-step lanes, or
     the compiled per-lane stepper when ``backend="compiled"``)."""
     if compiled_active():
-        return _CompiledLaneFormation(n, num_blocks, rule)
-    return _LaneFormation(n, num_blocks, rule)
+        return _CompiledLaneFormation(n, rule)
+    return _LaneFormation(n, rule)
 
 
 def arrival_tags(
@@ -613,7 +608,7 @@ def build_frame_schedule(
 ) -> FrameSchedule:
     """Run the array-stepped formation engine over one monolithic batch."""
     n = batch.n
-    form = _make_formation(n, 1, rule)
+    form = _make_formation(n, rule)
     tags = arrival_tags(batch.slots, form.residue[batch.inputs], n)
     form.absorb(batch.inputs, tags, batch.outputs)
     return form.run(None)
@@ -848,25 +843,22 @@ def frame_membership(
 
 
 class FrameFormationStream:
-    """Resumable frame formation across all inputs (and seed blocks).
+    """Resumable frame formation across all inputs.
 
-    The windowed form of the array-stepped engine: one
-    :class:`_LaneFormation` lane per (block, input); block ``b`` of a
-    multi-seed replay owns VOQ ids ``b * n^2 + i * n + j``.  ``feed``
-    absorbs one window of arrivals and forms every frame whose cycle
-    boundary slot is strictly below the window's end (later cycles could
-    still see this window's backlog *plus future arrivals*, so they must
-    wait); ``finish`` runs the quiescence (drain) loop.
+    The windowed form of the array-stepped engine (one
+    :class:`_LaneFormation` lane per input).  ``feed`` absorbs one
+    window of arrivals and forms every frame whose cycle boundary slot
+    is strictly below the window's end (later cycles could still see
+    this window's backlog *plus future arrivals*, so they must wait);
+    ``finish`` runs the quiescence (drain) loop.
     """
 
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
+    def __init__(self, n: int, rule: FormationRule) -> None:
         self.n = n
-        self.num_blocks = num_blocks
-        self._form = _make_formation(n, num_blocks, rule)
+        self._form = _make_formation(n, rule)
 
     def feed(
         self,
-        blocks: np.ndarray,
         slots: np.ndarray,
         inputs: np.ndarray,
         outputs: np.ndarray,
@@ -878,10 +870,9 @@ class FrameFormationStream:
         forms (the object engine's post-arrival quiescence loop).
         """
         n = self.n
-        if len(blocks):
-            lanes = blocks * n + inputs
-            tags = arrival_tags(slots, self._form.residue[lanes], n)
-            self._form.absorb(lanes, tags, outputs)
+        if len(slots):
+            tags = arrival_tags(slots, self._form.residue[inputs], n)
+            self._form.absorb(inputs, tags, outputs)
         if boundary is None:
             return self._form.run(None)
         limit = (boundary - self._form.residue + n - 1) // n
@@ -895,17 +886,15 @@ class FrameFormationStream:
 class ReferenceFormationStream:
     """Scalar-reference counterpart of :class:`FrameFormationStream`.
 
-    Test-only: one :class:`_InputFormation` per (block, input), advanced
-    through the same feed/finish contract.  The streamed formation
-    parity tests pin the array engine's windowed schedules against this.
+    Test-only: one :class:`_InputFormation` per input, advanced through
+    the same feed/finish contract.  The streamed formation parity tests
+    pin the array engine's windowed schedules against this.
     """
 
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
+    def __init__(self, n: int, rule: FormationRule) -> None:
         self.n = n
-        self.num_blocks = num_blocks
         self._states = [
             _InputFormation(n, (-i) % n, rule.make_picker(n))
-            for _ in range(num_blocks)
             for i in range(n)
         ]
 
@@ -916,18 +905,15 @@ class ReferenceFormationStream:
         size_l: List[int] = []
         fakes_l: List[int] = []
         slot_l: List[int] = []
-        for b in range(self.num_blocks):
-            for i in range(n):
-                state = self._states[b * n + i]
-                sink: Tuple[List[int], ...] = ([], [], [], [], [])
-                advance(state, sink)
-                f_out, f_start, f_size, f_fakes, f_slot = sink
-                base = b * n * n + i * n
-                voq_l.extend(base + j for j in f_out)
-                start_l.extend(f_start)
-                size_l.extend(f_size)
-                fakes_l.extend(f_fakes)
-                slot_l.extend(f_slot)
+        for i, state in enumerate(self._states):
+            sink: Tuple[List[int], ...] = ([], [], [], [], [])
+            advance(state, sink)
+            f_out, f_start, f_size, f_fakes, f_slot = sink
+            voq_l.extend(i * n + j for j in f_out)
+            start_l.extend(f_start)
+            size_l.extend(f_size)
+            fakes_l.extend(f_fakes)
+            slot_l.extend(f_slot)
         return FrameSchedule(
             voq=np.asarray(voq_l, dtype=np.int64),
             start=np.asarray(start_l, dtype=np.int64),
@@ -938,7 +924,6 @@ class ReferenceFormationStream:
 
     def feed(
         self,
-        blocks: np.ndarray,
         slots: np.ndarray,
         inputs: np.ndarray,
         outputs: np.ndarray,
@@ -946,20 +931,17 @@ class ReferenceFormationStream:
     ) -> FrameSchedule:
         """Absorb one window's arrivals; form frames for cycles < boundary."""
         n = self.n
-        if len(blocks):
-            key = blocks * n + inputs
-            order = np.argsort(key, kind="stable")
-            counts = np.bincount(key, minlength=self.num_blocks * n)
+        if len(slots):
+            order = np.argsort(inputs, kind="stable")
+            counts = np.bincount(inputs, minlength=n)
             offsets = np.concatenate(([0], np.cumsum(counts)))
-            for k in range(self.num_blocks * n):
-                idx = order[offsets[k] : offsets[k + 1]]
+            for i, state in enumerate(self._states):
+                idx = order[offsets[i] : offsets[i + 1]]
                 if len(idx):
-                    state = self._states[k]
-                    residue = state.residue
-                    cycles = (slots[idx] - residue + n - 1) // n
+                    cycles = (slots[idx] - state.residue + n - 1) // n
                     state.absorb(cycles, outputs[idx])
         if boundary is None:
-            return self._collect(lambda state, sink: state.drain(sink))
+            return self.finish()
 
         def advance(state: _InputFormation, sink) -> None:
             limit = (boundary - state.residue + n - 1) // n
@@ -983,9 +965,10 @@ class FramedPacketBuffer:
     never-framed packets.
     """
 
-    def __init__(self, num_voqs: int) -> None:
-        self._num = num_voqs
-        self._rank_next = np.zeros(num_voqs, dtype=np.int64)
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self._num = n * n
+        self._rank_next = np.zeros(self._num, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         self._buf = (empty, empty, empty, empty, empty)
 
@@ -1007,7 +990,7 @@ class FramedPacketBuffer:
         """
         ranks = np.empty(len(voqs), dtype=np.int64)
         if len(voqs):
-            order = stable_id_argsort(voqs, self._num)
+            order = stable_voq_argsort(voqs, self._n)
             counts = np.bincount(voqs, minlength=self._num)
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
             ranks[order] = (
@@ -1023,7 +1006,7 @@ class FramedPacketBuffer:
         empty = np.empty(0, dtype=np.int64)
         if len(voq) == 0:
             return (empty,) * 7
-        order = stable_id_argsort(voq, self._num)
+        order = stable_voq_argsort(voq, self._n)
         voq_s = voq[order]
         rank_s = rank[order]
         slot_s = slot[order]

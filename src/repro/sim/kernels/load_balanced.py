@@ -10,7 +10,7 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    WindowedStream,
     mid_residues,
     replay_polled_queues,
     segmented_fifo_service,
@@ -51,55 +51,48 @@ def departures(
     return dep, None
 
 
-class _LoadBalancedStream:
-    """Windowed (and seed-stacked) replay of the baseline LB switch.
+class _LoadBalancedStream(WindowedStream):
+    """Windowed replay of the baseline LB switch.
 
     Stage 1 is a bank of per-input FIFOs served every slot — a
     :class:`PolledQueueBank` with period 1 — and stage 2 the usual
     per-(mid, output) polled queues.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        self._stacker = WindowStacker(self.num_blocks)
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix.shape[0])
+        n = self.n
         # Stage-1 events arrive in generation order — FIFO order within
         # every input queue — so the bank can group by radix sort alone.
         self._stage1 = PolledQueueBank(
-            np.zeros(self.num_blocks * n, dtype=np.int64), 1, presorted=True
+            np.zeros(n, dtype=np.int64), 1, presorted=True
         )
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
 
-    def _advance(self, events, boundary):
+    def _round(self, arrivals, boundary):
         n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        voq_x = block * n * n + inputs * n + outputs
+        slots, inputs, outputs, seqs, gidx = arrivals
         tx, _, payload = self._stage1.feed(
-            block * n + inputs,
+            inputs,
             np.zeros(len(slots), dtype=np.int64),
             slots,
             gidx,
-            (voq_x, seqs, slots, inputs),
+            (inputs * n + outputs, seqs, slots, inputs),
             boundary,
         )
-        voq_x, seqs, slots, inputs = payload
-        block = voq_x // (n * n)
-        out = voq_x % n
+        voq, seqs, slots, inputs = payload
         mid = (inputs + tx) % n
         departure, tx, payload = self._stage2.feed(
-            block * n * n + mid * n + out,
+            mid * n + voq % n,
             np.zeros(len(tx), dtype=np.int64),
             tx + 1,
             tx,
-            (voq_x, seqs, slots, mid),
+            (voq, seqs, slots, mid),
             boundary,
         )
-        voq_x, seqs, slots, mid = payload
+        voq, seqs, slots, mid = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seqs,
             arrival=slots,
             departure=departure,
@@ -107,36 +100,7 @@ class _LoadBalancedStream:
             tx=tx,
         )
 
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
 
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            events = (block, slots, inputs, outputs, seqs, gidx)
-        else:
-            events = (np.empty(0, dtype=np.int64),) * 6
-        dep = self._advance(events, boundary)
-        return (
-            _split_blocks(dep, self.n, self.num_blocks) if split else dep
-        )
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, [None] * self.num_blocks
-
-    def finish_stacked(self, windows=None):
-        dep = self._round(windows, final=True, split=False)
-        return dep, [None] * self.num_blocks
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _LoadBalancedStream:
-    """Resumable multi-seed LB replay (see :class:`_LoadBalancedStream`)."""
-    return _LoadBalancedStream(matrix, seeds, total_slots)
+def stream(matrix: np.ndarray, seed: int, total_slots: int) -> _LoadBalancedStream:
+    """Resumable LB replay (see :class:`_LoadBalancedStream`)."""
+    return _LoadBalancedStream(matrix, seed, total_slots)

@@ -10,7 +10,7 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    WindowedStream,
     segmented_fifo_service,
 )
 
@@ -36,74 +36,40 @@ def departures(
     return dep, None
 
 
-class _OutputQueuedStream:
-    """Windowed (and seed-stacked) replay of the OQ reference switch:
-    one period-1 FIFO bank keyed by (seed block, output)."""
+class _OutputQueuedStream(WindowedStream):
+    """Windowed replay of the OQ reference switch: one period-1 FIFO
+    bank keyed by output."""
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        self._stacker = WindowStacker(self.num_blocks)
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix.shape[0])
         # Arrivals reach the bank in generation order — FIFO order
         # within every output queue — so radix grouping suffices.
         self._bank = PolledQueueBank(
-            np.zeros(self.num_blocks * n, dtype=np.int64), 1, presorted=True
+            np.zeros(self.n, dtype=np.int64), 1, presorted=True
         )
 
-    def _advance(self, events, boundary):
-        n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        voq_x = block * n * n + inputs * n + outputs
+    def _round(self, arrivals, boundary):
+        slots, inputs, outputs, seqs, gidx = arrivals
         # Departure is service + 1, so finalize services below
         # boundary - 1 to keep finalized departures strictly windowed.
         service, _, payload = self._bank.feed(
-            block * n + outputs,
+            outputs,
             np.zeros(len(slots), dtype=np.int64),
             slots,
             gidx,
-            (voq_x, seqs, slots, outputs),
+            (inputs * self.n + outputs, seqs, slots, outputs),
             None if boundary is None else boundary - 1,
         )
-        voq_x, seqs, slots, outputs = payload
+        voq, seqs, slots, outputs = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seqs,
             arrival=slots,
             departure=service + 1,
             wire=outputs,
         )
 
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
 
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            events = (block, slots, inputs, outputs, seqs, gidx)
-        else:
-            events = (np.empty(0, dtype=np.int64),) * 6
-        dep = self._advance(events, boundary)
-        return (
-            _split_blocks(dep, self.n, self.num_blocks) if split else dep
-        )
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, [None] * self.num_blocks
-
-    def finish_stacked(self, windows=None):
-        dep = self._round(windows, final=True, split=False)
-        return dep, [None] * self.num_blocks
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _OutputQueuedStream:
-    """Resumable multi-seed OQ replay (see :class:`_OutputQueuedStream`)."""
-    return _OutputQueuedStream(matrix, seeds, total_slots)
+def stream(matrix: np.ndarray, seed: int, total_slots: int) -> _OutputQueuedStream:
+    """Resumable OQ replay (see :class:`_OutputQueuedStream`)."""
+    return _OutputQueuedStream(matrix, seed, total_slots)

@@ -28,7 +28,7 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    WindowedStream,
     concat_ranges,
     mid_residues,
     replay_polled_queues,
@@ -72,22 +72,10 @@ def departures(
     mid = position[member]
     out = batch.outputs[member]
 
-    # Fake cells fill positions size .. n-1 of their frame, heading to the
-    # padded VOQ's output.
-    padded = schedule.fakes > 0
-    reps = schedule.fakes[padded]
-    num_fakes = int(reps.sum())
-    if num_fakes:
-        fake_pos = concat_ranges(schedule.size[padded], reps)
-        fake_tx = np.repeat(schedule.slot[padded], reps) + fake_pos
-        fake_out = np.repeat(schedule.voq[padded] % n, reps)
-        queues = np.concatenate([mid * n + out, fake_pos * n + fake_out])
-        ready = np.concatenate([tx, fake_tx]) + 1
-        fifo_order = np.concatenate([tx, fake_tx])
-    else:
-        queues = mid * n + out
-        ready = tx + 1
-        fifo_order = tx
+    fake_queue, fake_tx = _fake_cells(schedule, n)
+    queues = np.concatenate([mid * n + out, fake_queue])
+    fifo_order = np.concatenate([tx, fake_tx])
+    ready = fifo_order + 1
 
     service = replay_polled_queues(
         queues,
@@ -122,26 +110,19 @@ def _fake_cells(schedule, n: int):
     """Stage-2 events of a frame schedule's fake cells.
 
     Fake cells fill positions size .. n-1 of their frame, heading to the
-    padded VOQ's output.  Returns ``(queue_local, tx, block)`` — the
-    (mid, output) queue id within the frame's seed block, the crossing
-    slot, and the block.
+    padded VOQ's output.  Returns ``(queue, tx)`` — the (mid, output)
+    queue id and the crossing slot.
     """
     padded = schedule.fakes > 0
     reps = schedule.fakes[padded]
-    num_fakes = int(reps.sum())
-    if num_fakes == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
     fake_pos = concat_ranges(schedule.size[padded], reps)
     fake_tx = np.repeat(schedule.slot[padded], reps) + fake_pos
-    voq_x = np.repeat(schedule.voq[padded], reps)
-    fake_out = voq_x % n
-    block = voq_x // (n * n)
-    return fake_pos * n + fake_out, fake_tx, block
+    fake_out = np.repeat(schedule.voq[padded] % n, reps)
+    return fake_pos * n + fake_out, fake_tx
 
 
-class _PfStream:
-    """Windowed (and seed-stacked) replay of the Padded Frames switch.
+class _PfStream(WindowedStream):
+    """Windowed replay of the Padded Frames switch.
 
     Frame formation streams cycle-by-cycle (:class:`FrameFormationStream`),
     framed packets and fake cells enter the stage-2 polled queues as they
@@ -153,76 +134,61 @@ class _PfStream:
     def __init__(
         self,
         matrix: np.ndarray,
-        seeds,
+        seed: int,
         total_slots: int,
         threshold: Optional[int] = None,
     ) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
+        super().__init__(matrix.shape[0])
+        n = self.n
         threshold = _check_threshold(n, threshold)
-        self._stacker = WindowStacker(self.num_blocks)
-        self._formation = FrameFormationStream(
-            n, self.num_blocks, pf_rule(threshold)
-        )
-        self._packets = FramedPacketBuffer(self.num_blocks * n * n)
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._formation = FrameFormationStream(n, pf_rule(threshold))
+        self._packets = FramedPacketBuffer(n)
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
         # The drain horizon needs the run length: services past it are
         # unobserved in the object engine.
         self._cut = drain_cut(total_slots, n)
-        self._fakes_departed = np.zeros(self.num_blocks, dtype=np.int64)
-        self._real_departed = np.zeros(self.num_blocks, dtype=np.int64)
+        self._fakes_departed = 0
+        self._real_departed = 0
 
-    def _advance(self, schedule, new_packets, boundary):
+    def _round(self, arrivals, boundary):
         n = self.n
-        voq_x, slot, seq, gidx, rank, assembled, position = new_packets
+        slots, inputs, outputs, seqs, gidx = arrivals
+        schedule = self._formation.feed(slots, inputs, outputs, boundary)
+        voq, slot, seq, _, _, assembled, position = self._packets.feed(
+            inputs * n + outputs, slots, seqs, gidx, schedule
+        )
         tx = assembled + position
-        block = voq_x // (n * n)
-        out = voq_x % n
-        fake_queue, fake_tx, fake_block = _fake_cells(schedule, n)
-        is_fake = np.concatenate([
-            np.zeros(len(tx), dtype=np.int64),
-            np.ones(len(fake_tx), dtype=np.int64),
-        ])
+        fake_queue, fake_tx = _fake_cells(schedule, n)
         zero = np.zeros(len(fake_tx), dtype=np.int64)
-        queues = np.concatenate([
-            block * n * n + position * n + out,
-            fake_block * n * n + fake_queue,
-        ])
-        ready = np.concatenate([tx, fake_tx]) + 1
         fifo_order = np.concatenate([tx, fake_tx])
         payload = (
-            np.concatenate([voq_x, fake_block * n * n]),
+            np.concatenate([voq, zero]),
             np.concatenate([seq, zero]),
             np.concatenate([slot, zero]),
             np.concatenate([position, zero]),
             np.concatenate([assembled, zero]),
-            is_fake,
+            np.arange(len(fifo_order)) >= len(tx),  # is_fake
         )
         service, tx, payload = self._stage2.feed(
-            queues,
-            np.zeros(len(queues), dtype=np.int64),
-            ready,
+            np.concatenate([position * n + voq % n, fake_queue]),
+            np.zeros(len(fifo_order), dtype=np.int64),
+            fifo_order + 1,
             fifo_order,
             payload,
             boundary,
         )
-        voq_x, seq, slot, position, assembled, is_fake = payload
+        voq, seq, slot, position, assembled, is_fake = payload
         # The object engine's drain phase is finite: cells that would
         # depart after its horizon stay in flight there, unobserved.
         # Window-finalized services are always below the horizon (the
         # boundary never exceeds the run length); the final flush is
         # where the cut actually bites.
         seen = service <= self._cut
-        block = voq_x // (n * n)
-        fake = is_fake == 1
-        np.add.at(self._fakes_departed, block[fake & seen], 1)
-        real = ~fake & seen
-        np.add.at(self._real_departed, block[real], 1)
+        real = ~is_fake & seen
+        self._fakes_departed += int(np.count_nonzero(is_fake & seen))
+        self._real_departed += int(np.count_nonzero(real))
         return Departures(
-            voq=voq_x[real],
+            voq=voq[real],
             seq=seq[real],
             arrival=slot[real],
             departure=service[real],
@@ -231,59 +197,16 @@ class _PfStream:
             tx=tx[real],
         )
 
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
-
-        n = self.n
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            voq_x = block * n * n + inputs * n + outputs
-        else:
-            block = slots = inputs = outputs = seqs = gidx = voq_x = (
-                np.empty(0, dtype=np.int64)
-            )
-        schedule = self._formation.feed(
-            block, slots, inputs, outputs, boundary
-        )
-        framed = self._packets.feed(voq_x, slots, seqs, gidx, schedule)
-        dep = self._advance(schedule, framed, boundary)
-        return _split_blocks(dep, n, self.num_blocks) if split else dep
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
     def _extras(self):
-        extras = []
-        for b in range(self.num_blocks):
-            sent = int(self._real_departed[b] + self._fakes_departed[b])
-            extras.append({
-                "padding_overhead": (
-                    int(self._fakes_departed[b]) / sent if sent else 0.0
-                )
-            })
-        return extras
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, self._extras()
-
-    def finish_stacked(self, windows=None):
-        """Like :meth:`finish`, but returns the seed-extended stacked
-        record (no per-seed split) for the stacked metrics fold."""
-        dep = self._round(windows, final=True, split=False)
-        return dep, self._extras()
+        sent = self._real_departed + self._fakes_departed
+        return {"padding_overhead": self._fakes_departed / sent if sent else 0.0}
 
 
 def stream(
     matrix: np.ndarray,
-    seeds,
+    seed: int,
     total_slots: int,
     threshold: Optional[int] = None,
 ) -> _PfStream:
-    """Resumable multi-seed PF replay (see :class:`_PfStream`)."""
-    return _PfStream(matrix, seeds, total_slots, threshold=threshold)
+    """Resumable PF replay (see :class:`_PfStream`)."""
+    return _PfStream(matrix, seed, total_slots, threshold=threshold)

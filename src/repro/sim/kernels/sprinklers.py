@@ -13,7 +13,7 @@ from .base import (
     Departures,
     PolledQueueBank,
     UnitAssembler,
-    WindowStacker,
+    WindowedStream,
     mid_residues,
     replay_polled_queues,
     row_residues,
@@ -107,40 +107,35 @@ def departures(
     return dep, {"resizes": 0.0}  # oracle sizing never resizes
 
 
-class _SprinklersStream:
-    """Windowed (and seed-stacked) replay of the Sprinklers data path.
+class _SprinklersStream(WindowedStream):
+    """Windowed replay of the Sprinklers data path.
 
-    Seed block ``b`` owns VOQ ids ``b * n^2 + voq`` and queue ids in the
-    matching blocks, so one :class:`PolledQueueBank` replay pass serves
-    every seed at once while keeping the seeds' dynamics exactly
-    independent — per-seed results are bit-identical to the monolithic
-    :func:`departures`.
+    Stripes assemble in a :class:`UnitAssembler`, then cross both
+    :class:`PolledQueueBank` stages — per-packet results bit-identical to
+    the monolithic :func:`departures`.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        tables = [_placement_tables(matrix, seed) for seed in seeds]
-        self._sizes = np.concatenate([t[0] for t in tables])
-        self._starts = np.concatenate([t[1] for t in tables])
-        self._levels = np.concatenate([t[2] for t in tables])
-        self._stacker = WindowStacker(self.num_blocks)
-        self._assembler = UnitAssembler(self._sizes)
-        self._stage1 = PolledQueueBank(
-            np.tile(row_residues(n), self.num_blocks), n
-        )
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
-
-    def _advance(self, stripes, boundary):
-        """Push completed stripes through both stages up to ``boundary``."""
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix.shape[0])
         n = self.n
-        voq_x, slot, seq, gidx, pos, c_slot, c_order = stripes
-        inp = (voq_x % (n * n)) // n
-        size = self._sizes[voq_x]
-        start = self._starts[voq_x]
+        self._sizes, self._starts, self._levels = _placement_tables(
+            matrix, seed
+        )
+        self._assembler = UnitAssembler(self._sizes)
+        self._stage1 = PolledQueueBank(row_residues(n), n)
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
+
+    def _round(self, arrivals, boundary):
+        """Assemble stripes; push them through both stages up to
+        ``boundary``."""
+        n = self.n
+        slots, inputs, outputs, seqs, gidx = arrivals
+        voq, slot, seq, _, pos, c_slot, c_order = self._assembler.feed(
+            inputs * n + outputs, slots, seqs, gidx
+        )
+        inp = voq // n
+        size = self._sizes[voq]
+        start = self._starts[voq]
         row = start + pos
 
         # Safe insertion (§3.4.2), as in the monolithic kernel.
@@ -149,25 +144,25 @@ class _SprinklersStream:
         t_ins = c_slot + np.where(inside, start + size - pointer, 0)
 
         tx, _, payload = self._stage1.feed(
-            (voq_x // (n * n)) * n * n + inp * n + row,
-            self._levels[voq_x],
+            inp * n + row,
+            self._levels[voq],
             t_ins,
             c_order,
-            (voq_x, seq, slot, row, c_slot),
+            (voq, seq, slot, row, c_slot),
             boundary,
         )
-        voq_x, seq, slot, row, c_slot = payload
+        voq, seq, slot, row, c_slot = payload
         departure, tx, payload = self._stage2.feed(
-            (voq_x // (n * n)) * n * n + row * n + (voq_x % n),
-            self._levels[voq_x],
+            row * n + voq % n,
+            self._levels[voq],
             tx + 1,
             tx,
-            (voq_x, seq, slot, row, c_slot),
+            (voq, seq, slot, row, c_slot),
             boundary,
         )
-        voq_x, seq, slot, row, c_slot = payload
+        voq, seq, slot, row, c_slot = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seq,
             arrival=slot,
             departure=departure,
@@ -176,93 +171,10 @@ class _SprinklersStream:
             tx=tx,
         )
 
-    def _round(self, windows, final: bool, split: bool = True):
-        n = self.n
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            voq_x = block * n * n + inputs * n + outputs
-            stripes = self._assembler.feed(voq_x, slots, seqs, gidx)
-        else:
-            stripes = (np.empty(0, dtype=np.int64),) * 7
-        dep = self._advance(stripes, boundary)
-        return _split_blocks(dep, n, self.num_blocks) if split else dep
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def finish(self, windows=None):
-        """Final round: feed ``windows`` (if any) and flush everything.
-
-        Passing the whole run as one ``windows`` list here replays it in
-        a single pass — the monolithic-cost path multi-seed replication
-        uses.
-        """
-        deps = self._round(windows, final=True)
-        # Oracle sizing never resizes.
-        return deps, [{"resizes": 0.0}] * self.num_blocks
-
-    def finish_stacked(self, windows=None):
-        """Like :meth:`finish`, but returns the seed-extended stacked
-        record (no per-seed split) for the stacked metrics fold."""
-        dep = self._round(windows, final=True, split=False)
-        return dep, [{"resizes": 0.0}] * self.num_blocks
+    def _extras(self):
+        return {"resizes": 0.0}  # oracle sizing never resizes
 
 
-def _split_blocks(dep: Departures, n: int, num_blocks: int):
-    """Split a stacked :class:`Departures` into per-seed records.
-
-    Seed-extended VOQ ids are reduced back to ``[0, n^2)``; every other
-    field is per-seed data already.  One stable sort by seed block plus
-    contiguous slices, instead of one boolean-mask pass per seed.
-    """
-    if num_blocks == 1:
-        return [
-            Departures(
-                voq=dep.voq % (n * n),
-                seq=dep.seq,
-                arrival=dep.arrival,
-                departure=dep.departure,
-                wire=dep.wire,
-                assembled=dep.assembled,
-                tx=dep.tx,
-                wire_is_rank=dep.wire_is_rank,
-            )
-        ]
-    block = dep.voq // (n * n)
-    order = np.argsort(block, kind="stable")
-    voq = dep.voq[order] % (n * n)
-    seq = dep.seq[order]
-    arrival = dep.arrival[order]
-    departure = dep.departure[order]
-    wire = dep.wire[order]
-    assembled = None if dep.assembled is None else dep.assembled[order]
-    tx = None if dep.tx is None else dep.tx[order]
-    bounds = np.concatenate((
-        [0], np.cumsum(np.bincount(block, minlength=num_blocks)),
-    ))
-    out = []
-    for b in range(num_blocks):
-        lo, hi = bounds[b], bounds[b + 1]
-        out.append(
-            Departures(
-                voq=voq[lo:hi],
-                seq=seq[lo:hi],
-                arrival=arrival[lo:hi],
-                departure=departure[lo:hi],
-                wire=wire[lo:hi],
-                assembled=None if assembled is None else assembled[lo:hi],
-                tx=None if tx is None else tx[lo:hi],
-                wire_is_rank=dep.wire_is_rank,
-            )
-        )
-    return out
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _SprinklersStream:
-    """Resumable multi-seed Sprinklers replay (see :class:`_SprinklersStream`)."""
-    return _SprinklersStream(matrix, seeds, total_slots)
+def stream(matrix: np.ndarray, seed: int, total_slots: int) -> _SprinklersStream:
+    """Resumable Sprinklers replay (see :class:`_SprinklersStream`)."""
+    return _SprinklersStream(matrix, seed, total_slots)

@@ -11,7 +11,7 @@ from .base import (
     Departures,
     PolledQueueBank,
     UnitAssembler,
-    WindowStacker,
+    WindowedStream,
     composite_argsort,
     mid_residues,
     periodic_fifo_service,
@@ -85,8 +85,8 @@ def departures(
     return dep, None
 
 
-class _UfsStream:
-    """Windowed (and seed-stacked) replay of Uniform Frame Spreading.
+class _UfsStream(WindowedStream):
+    """Windowed replay of Uniform Frame Spreading.
 
     Full frames assemble in a :class:`UnitAssembler`; each completed
     frame then waits as *one event* in a per-input periodic FIFO bank
@@ -95,54 +95,53 @@ class _UfsStream:
     frame's packets replay through the stage-2 polled queues.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        self._stacker = WindowStacker(self.num_blocks)
-        self._assembler = UnitAssembler(
-            np.full(self.num_blocks * n * n, n, dtype=np.int64)
-        )
-        ports = np.arange(n, dtype=np.int64)
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix.shape[0])
+        n = self.n
+        self._assembler = UnitAssembler(np.full(n * n, n, dtype=np.int64))
         # (Frames are emitted VOQ-grouped, not completion-ordered, so
         # this bank cannot use the presorted radix grouping.)
         self._frame_bank = PolledQueueBank(
-            np.tile((-ports) % n, self.num_blocks), n
+            (-np.arange(n, dtype=np.int64)) % n, n
         )
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
         # Packets of completed frames awaiting their frame's start slot,
         # sorted by (frame key, position).  The frame key is the
-        # completing packet's generation index, block-tagged for
-        # cross-seed uniqueness.
+        # completing packet's generation index.
         empty = np.empty(0, dtype=np.int64)
-        self._parked = (empty,) * 6  # fkey, voq_x, seq, slot, pos, c_slot
+        self._parked = (empty,) * 6  # fkey, voq, seq, slot, pos, c_slot
 
-    def _frame_key(self, block: np.ndarray, c_order: np.ndarray) -> np.ndarray:
-        return c_order * self.num_blocks + block
-
-    def _advance(self, frames, parked_new, boundary):
-        """Run the frame-start FIFO and stage 2 up to ``boundary``."""
+    def _round(self, arrivals, boundary):
+        """Assemble frames, run the frame-start FIFO and stage 2 up to
+        ``boundary``."""
         n = self.n
-        # Frame events: queue = block * n + input, ready = completion
-        # slot, FIFO order = completion index (per-input completion
-        # order, as in the monolithic kernel).
-        f_queue, f_ready, f_order, f_key = frames
-        start, _, payload = self._frame_bank.feed(
-            f_queue, np.zeros(len(f_queue), dtype=np.int64),
-            f_ready, f_order, (f_key,), boundary,
+        slots, inputs, outputs, seqs, gidx = arrivals
+        voq_c, slot_c, seq_c, _, pos_c, c_slot, c_order = (
+            self._assembler.feed(inputs * n + outputs, slots, seqs, gidx)
         )
-        (done_key,) = payload
+        # Frame events: queue = input, ready = completion slot, FIFO
+        # order = completion index (per-input completion order, as in
+        # the monolithic kernel).
+        last = pos_c == n - 1
+        start, _, (done_key,) = self._frame_bank.feed(
+            voq_c[last] // n,
+            np.zeros(int(last.sum()), dtype=np.int64),
+            c_slot[last],
+            c_order[last],
+            (c_order[last],),
+            boundary,
+        )
 
         # Park the new frames' packets, keep the store (fkey, pos)-sorted.
-        fkey, voq_x, seq, slot, pos, c_slot = tuple(
+        fkey, voq, seq, slot, pos, c_slot = tuple(
             np.concatenate([old, new])
-            for old, new in zip(self._parked, parked_new)
+            for old, new in zip(
+                self._parked, (c_order, voq_c, seq_c, slot_c, pos_c, c_slot)
+            )
         )
         order = composite_argsort(fkey, pos) if len(fkey) else fkey
-        fkey, voq_x, seq, slot, pos, c_slot = (
-            fkey[order], voq_x[order], seq[order], slot[order],
+        fkey, voq, seq, slot, pos, c_slot = (
+            fkey[order], voq[order], seq[order], slot[order],
             pos[order], c_slot[order],
         )
 
@@ -157,30 +156,28 @@ class _UfsStream:
             member[inb] = done_sorted[at[inb]] == fkey[inb]
         keep = ~member
         self._parked = (
-            fkey[keep], voq_x[keep], seq[keep], slot[keep],
+            fkey[keep], voq[keep], seq[keep], slot[keep],
             pos[keep], c_slot[keep],
         )
         frame_start = np.zeros(int(member.sum()), dtype=np.int64)
         if len(done_sorted):
             frame_start = start_sorted[at[member]]
-        voq_x, seq, slot, pos, c_slot = (
-            voq_x[member], seq[member], slot[member], pos[member],
+        voq, seq, slot, pos, c_slot = (
+            voq[member], seq[member], slot[member], pos[member],
             c_slot[member],
         )
         tx = frame_start + pos
-        block = voq_x // (n * n)
-        out = voq_x % n
         departure, tx, payload = self._stage2.feed(
-            block * n * n + pos * n + out,
+            pos * n + voq % n,
             np.zeros(len(tx), dtype=np.int64),
             tx + 1,
             tx,
-            (voq_x, seq, slot, pos, c_slot),
+            (voq, seq, slot, pos, c_slot),
             boundary,
         )
-        voq_x, seq, slot, pos, c_slot = payload
+        voq, seq, slot, pos, c_slot = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seq,
             arrival=slot,
             departure=departure,
@@ -189,50 +186,7 @@ class _UfsStream:
             tx=tx,
         )
 
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
 
-        n = self.n
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            voq_x = block * n * n + inputs * n + outputs
-            voq_c, slot_c, seq_c, g_c, pos_c, c_slot, c_order = (
-                self._assembler.feed(voq_x, slots, seqs, gidx)
-            )
-            blk_c = voq_c // (n * n)
-            fkey = self._frame_key(blk_c, c_order)
-            last = pos_c == n - 1
-            frames = (
-                blk_c[last] * n + (voq_c[last] % (n * n)) // n,
-                c_slot[last],
-                c_order[last],
-                fkey[last],
-            )
-            parked_new = (fkey, voq_c, seq_c, slot_c, pos_c, c_slot)
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            frames = (empty,) * 4
-            parked_new = (empty,) * 6
-        dep = self._advance(frames, parked_new, boundary)
-        return _split_blocks(dep, n, self.num_blocks) if split else dep
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, [None] * self.num_blocks
-
-    def finish_stacked(self, windows=None):
-        dep = self._round(windows, final=True, split=False)
-        return dep, [None] * self.num_blocks
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _UfsStream:
-    """Resumable multi-seed UFS replay (see :class:`_UfsStream`)."""
-    return _UfsStream(matrix, seeds, total_slots)
+def stream(matrix: np.ndarray, seed: int, total_slots: int) -> _UfsStream:
+    """Resumable UFS replay (see :class:`_UfsStream`)."""
+    return _UfsStream(matrix, seed, total_slots)

@@ -12,7 +12,7 @@ Student-t confidence interval.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -40,74 +40,6 @@ class ReplicatedResult(NamedTuple):
         return (self.mean - self.half_width, self.mean + self.half_width)
 
 
-def _replicate_batched(
-    switch_name: str,
-    matrix: Optional[np.ndarray],
-    num_slots: int,
-    seeds: Sequence[int],
-    load_label: float,
-    spec,
-    n: Optional[int],
-    load: Optional[float],
-    store,
-    switch_params: Optional[dict],
-) -> List[SimulationResult]:
-    """All seeds in one stacked kernel pass, store-compatible per seed.
-
-    Cache keys are exactly the per-seed keys of the sequential path
-    (``run_single`` with ``keep_samples=False``), so batched and
-    sequential replications share hits; only the missing seeds run, as
-    one :func:`~repro.sim.fast_engine.run_replications_fast` call.
-    """
-    from ..scenarios.build import build_batch_traffic
-    from ..scenarios.spec import effective_matrix
-    from ..store import coerce_store
-    from .experiment import single_run_params
-    from .fast_engine import run_replications_fast
-
-    if spec is not None:
-        matrix = effective_matrix(spec, n, load)
-    cache = coerce_store(store)
-    results = {}
-    missing = []
-    params_by_seed = {}
-    for seed in seeds:
-        params = single_run_params(
-            switch_name, matrix, num_slots, seed,
-            float(load) if spec is not None else load_label,
-            0.1,  # run_single's warmup_fraction default, as the jobs use
-            False, "vectorized", spec, switch_params,
-        )
-        params_by_seed[seed] = params
-        cached = cache.fetch(params) if cache is not None else None
-        if cached is not None:
-            results[seed] = cached
-        else:
-            missing.append(seed)
-    if missing:
-        traffics = None
-        if spec is not None:
-            traffics = [
-                build_batch_traffic(spec, n, load, seed, num_slots)
-                for seed in missing
-            ]
-        fresh = run_replications_fast(
-            switch_name,
-            matrix,
-            num_slots,
-            missing,
-            load_label=load_label,
-            keep_samples=False,
-            batch_traffics=traffics,
-            switch_params=switch_params,
-        )
-        for seed, result in zip(missing, fresh):
-            results[seed] = result
-            if cache is not None:
-                cache.save(params_by_seed[seed], result)
-    return [results[seed] for seed in seeds]
-
-
 def replicate(
     switch_name: str,
     matrix: Optional[np.ndarray] = None,
@@ -125,7 +57,6 @@ def replicate(
     load: Optional[float] = None,
     store=None,
     switch_params: Optional[dict] = None,
-    batch_seeds: bool = False,
 ) -> ReplicatedResult:
     """Run ``replications`` independent seeds of one configuration.
 
@@ -141,17 +72,8 @@ def replicate(
     seed's result, so re-running (or widening) a replication study only
     simulates seeds it has not seen.  ``switch_params`` replicates a
     parameterized switch (e.g. PF at a custom ``threshold``), threaded
-    through every seed's job and cache key.
-
-    ``batch_seeds=True`` (vectorized engine only) replays all seeds in
-    *one* stacked kernel pass where the switch supports a seed axis
-    (:data:`~repro.models.Capability.SEED_BATCHED` — every vectorized
-    switch, the frame-at-a-time PF/FOFF included: the array-stepped
-    formation engine stacks seeds as extra lanes, widening each cycle
-    step instead of multiplying the step count) — exactly the same
-    per-seed values, but the array-setup overheads that dominate short
-    replications are paid once instead of R times.  Switches without
-    the capability silently fall back to per-seed runs.
+    through every seed's job and cache key.  ``max_workers`` runs the
+    seeds on a process pool.
 
     >>> from repro.traffic.matrices import uniform_matrix
     >>> res = replicate("load-balanced", uniform_matrix(4, 0.5), 800,
@@ -166,59 +88,35 @@ def replicate(
     from ..store import store_dir
 
     scenario_dict = None
-    spec = None
     if scenario is not None:
         if n is None or load is None:
             raise ValueError("scenario replications require n and load")
-        spec = resolve_scenario(scenario)
-        scenario_dict = spec.to_dict()
+        scenario_dict = resolve_scenario(scenario).to_dict()
         # The job's load_label doubles as the scenario's target load.
         load_label = float(load)
-    if batch_seeds and engine != "vectorized":
-        raise ValueError(
-            "batch_seeds requires engine='vectorized' (the object engine "
-            "has no seed axis)"
-        )
-    seeds = [base_seed + r for r in range(replications)]
-    # A fabric name replicates seed-by-seed through run_single's fabric
-    # dispatch (no stacked seed axis across a coupled chain yet); the
+    # A fabric name replicates through run_single's fabric dispatch; the
     # scenario / store / pool machinery works unchanged because the job
     # carries the name.
     fabric_spec = models.lookup_fabric(switch_name)
     if fabric_spec is not None:
-        model = None
         canonical = fabric_spec.name
     else:
         canonical = models.canonical_name(switch_name)
-        model = models.get(canonical)
-    batched = (
-        model is not None
-        and batch_seeds
-        and model.seed_batched
-        and model.supports_engine("vectorized", switch_params)
-    )
     with telemetry.trace(
         "run.replicate",
         switch=canonical,
         replications=replications,
         engine=engine,
-        batched=batched,
     ):
-        if batched:
-            results = _replicate_batched(
-                canonical, matrix, num_slots, seeds, load_label,
-                spec, n, load, store, switch_params,
+        jobs = [
+            SweepJob(
+                canonical, matrix, num_slots, base_seed + r, load_label,
+                engine, scenario=scenario_dict, n=n,
+                store=store_dir(store), switch_params=switch_params,
             )
-        else:
-            jobs = [
-                SweepJob(
-                    canonical, matrix, num_slots, seed, load_label,
-                    engine, scenario=scenario_dict, n=n,
-                    store=store_dir(store), switch_params=switch_params,
-                )
-                for seed in seeds
-            ]
-            results = run_jobs(jobs, max_workers=max_workers)
+            for r in range(replications)
+        ]
+        results = run_jobs(jobs, max_workers=max_workers)
     values = [float(metric(result)) for result in results]
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1)) / math.sqrt(replications)

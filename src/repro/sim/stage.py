@@ -69,10 +69,9 @@ class KernelStage(Stage):
     """A stream kernel (vectorized resumable replay) behind the Stage
     interface.
 
-    Thin single-seed adapter over the kernel's multi-seed streamer:
-    ``feed``/``finish`` windows are wrapped in one-element lists and the
-    per-seed result lists unwrapped, so the Stage contract and the
-    stream-kernel contract are the same thing seen from two sides.
+    The stream-kernel contract and the Stage contract are the same thing
+    seen from two sides; this adapter adds the telemetry spans and the
+    per-stage feed/finish timings.
     """
 
     def __init__(
@@ -95,14 +94,14 @@ class KernelStage(Stage):
         self._feed_metric = f"stage.feed_s.{self.label}"
         self._finish_metric = f"stage.finish_s.{self.label}"
         self._streamer = model.stream_kernel(
-            matrix, [seed], total_slots, **(params or {})
+            matrix, seed, total_slots, **(params or {})
         )
 
     def feed(self, window: ArrivalBatch) -> Departures:
         if not telemetry.enabled():
-            return self._streamer.feed([window])[0]
+            return self._streamer.feed(window)
         with telemetry.trace("stage.feed", stage=self.label) as span:
-            dep = self._streamer.feed([window])[0]
+            dep = self._streamer.feed(window)
             span.set(packets=len(window), finalized=len(dep.voq))
         telemetry.observe(self._feed_metric, span.span.dur_s)
         return dep
@@ -111,17 +110,12 @@ class KernelStage(Stage):
         self, window: Optional[ArrivalBatch] = None
     ) -> Tuple[Departures, Optional[Dict[str, float]]]:
         if not telemetry.enabled():
-            final, extras = self._streamer.finish(
-                [window] if window is not None else None
-            )
-            return final[0], extras[0]
+            return self._streamer.finish(window)
         with telemetry.trace("stage.finish", stage=self.label) as span:
-            final, extras = self._streamer.finish(
-                [window] if window is not None else None
-            )
-            span.set(finalized=len(final[0].voq))
+            final, extras = self._streamer.finish(window)
+            span.set(finalized=len(final.voq))
         telemetry.observe(self._finish_metric, span.span.dur_s)
-        return final[0], extras[0]
+        return final, extras
 
 
 class ObjectStage(Stage):

@@ -164,6 +164,22 @@ class TestSwitchesCommands:
         assert "load-balanced" in capsys.readouterr().out
 
 
+class TestFabricsCommands:
+    @pytest.mark.parametrize("command", ["run", "delay"])
+    @pytest.mark.parametrize("name", ["nope", "sprinklers"])
+    def test_fabric_name_must_be_a_fabric(self, command, name):
+        """An unknown --fabric lists the fabrics, not the switches, and a
+        plain switch name is rejected instead of silently run."""
+        argv = ["fabrics", command, "--fabric", name, "--n", "4",
+                "--slots", "100"]
+        with pytest.raises(
+            ValueError,
+            match=rf"unknown fabric '{name}'; known: dual-sprinklers, "
+            r"leaf-spine",
+        ):
+            main(argv)
+
+
 class TestStoreCommands:
     def _populate(self, store_dir):
         argv = [

@@ -98,12 +98,11 @@ def assert_schedules_equal(got, want):
 
 def stream_schedule(stream_cls, rule, n, batches, windows):
     """Feed a run through a formation stream; concatenate the schedules."""
-    stream = stream_cls(n, 1, rule)
+    stream = stream_cls(n, rule)
     parts = []
     for batch in batches:
         parts.append(
             stream.feed(
-                np.zeros(len(batch), dtype=np.int64),
                 batch.slots,
                 batch.inputs,
                 batch.outputs,
@@ -202,17 +201,14 @@ class TestStreamedParity:
         batches = list(
             WORKLOADS["mmpp-bursty"](n, 9, SLOTS).draw_chunks(SLOTS, window)
         )
-        vec = FrameFormationStream(n, 1, rule)
-        ref = ReferenceFormationStream(n, 1, rule)
-        zeros = lambda b: np.zeros(len(b), dtype=np.int64)  # noqa: E731
+        vec = FrameFormationStream(n, rule)
+        ref = ReferenceFormationStream(n, rule)
         for batch in batches:
             got = vec.feed(
-                zeros(batch), batch.slots, batch.inputs, batch.outputs,
-                batch.end_slot,
+                batch.slots, batch.inputs, batch.outputs, batch.end_slot
             )
             want = ref.feed(
-                zeros(batch), batch.slots, batch.inputs, batch.outputs,
-                batch.end_slot,
+                batch.slots, batch.inputs, batch.outputs, batch.end_slot
             )
             assert_schedules_equal(got, want)
         assert_schedules_equal(vec.finish(), ref.finish())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import models
 from repro.figures.burst_sensitivity import generate as burst_generate
 from repro.sim.replication import replicate
 from repro.traffic.matrices import uniform_matrix
@@ -63,6 +64,75 @@ class TestReplicate:
         assert result.values[0] == float(want.mean_delay)
         plain = replicate("pf", matrix, 800, replications=3)
         assert result.values != plain.values
+
+    @pytest.mark.parametrize("switch", models.available(engine="vectorized"))
+    def test_vectorized_values_equal_per_seed_runs(self, switch):
+        from repro.sim.fast_engine import run_single_fast
+
+        matrix = uniform_matrix(8, 0.7)
+        result = replicate(
+            switch, matrix, 900, replications=4, base_seed=3,
+            engine="vectorized", load_label=0.7,
+        )
+        want = tuple(
+            float(
+                run_single_fast(
+                    switch, matrix, 900, seed=3 + r, load_label=0.7,
+                    keep_samples=False,
+                ).mean_delay
+            )
+            for r in range(4)
+        )
+        assert result.values == want
+
+    def test_vectorized_scenario_values_equal_per_seed_runs(self):
+        from repro.sim.experiment import run_single
+
+        kw = dict(
+            scenario="mmpp-bursty", n=8, load=0.8, num_slots=900,
+            engine="vectorized",
+        )
+        result = replicate("sprinklers", replications=3, **kw)
+        want = tuple(
+            float(
+                run_single(
+                    "sprinklers", seed=r, keep_samples=False, **kw
+                ).mean_delay
+            )
+            for r in range(3)
+        )
+        assert result.values == want
+
+    def test_vectorized_switch_params_equal_object_engine(self):
+        matrix = uniform_matrix(8, 0.75)
+        kw = dict(
+            num_slots=900, replications=3, switch_params={"threshold": 2},
+        )
+        vectorized = replicate("pf", matrix, engine="vectorized", **kw)
+        assert vectorized.values == replicate("pf", matrix, **kw).values
+
+    def test_vectorized_pool_equals_sequential(self):
+        matrix = uniform_matrix(8, 0.7)
+        kw = dict(
+            replications=3, engine="vectorized", load_label=0.7,
+        )
+        pooled = replicate("ufs", matrix, 900, max_workers=2, **kw)
+        assert pooled.values == replicate("ufs", matrix, 900, **kw).values
+
+    def test_vectorized_rerun_is_all_cache_hits(self, tmp_path):
+        from repro.store import ExperimentStore
+
+        store = str(tmp_path / "store")
+        kw = dict(
+            replications=3, engine="vectorized", load_label=0.6, store=store,
+        )
+        first = replicate("sprinklers", uniform_matrix(4, 0.6), 600, **kw)
+        before = ExperimentStore(store).stats()
+        second = replicate("sprinklers", uniform_matrix(4, 0.6), 600, **kw)
+        after = ExperimentStore(store).stats()
+        assert second.values == first.values
+        assert (before.entries, before.saves, before.hits) == (3, 3, 0)
+        assert (after.entries, after.saves, after.hits) == (3, 3, 3)
 
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,12 @@
-"""Streamed-replay equivalence: windowed/multi-seed engine vs monolithic.
+"""Streamed-replay equivalence: windowed engine vs monolithic.
 
 The windowed replay (``run_single_fast(..., window_slots=W)``) claims to
 reproduce the monolithic vectorized replay *bit-identically* — same
 departure slots, same extras, same retained delay samples in the same
 observation order — while materializing only O(W) arrival slots at a
-time.  Multi-seed batching (``run_replications_fast`` /
-``replicate(batch_seeds=True)``) claims the same per seed while stacking
-all seeds into one kernel pass.  These tests pin both claims across every
-streaming switch, switch sizes, workloads, and window sizes (including
-windows that do not divide the run and windows larger than the run).
+time.  These tests pin that claim across every streaming switch, switch
+sizes, workloads, and window sizes (including windows that do not divide
+the run and windows larger than the run).
 
 The monolithic vectorized path is itself pinned against the object
 engine in ``tests/test_fast_engine.py``, so equality here chains all the
@@ -24,16 +22,13 @@ import pytest
 
 from repro import models
 from repro.sim.experiment import run_single
-from repro.sim.fast_engine import run_replications_fast, run_single_fast
-from repro.sim.replication import replicate
+from repro.sim.fast_engine import run_single_fast
+from repro.sim.kernels.base import Departures
 from repro.traffic.batch import BatchTrafficGenerator
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
 STREAMING_SWITCHES = list(
     models.available(engine="vectorized", capability="streaming")
-)
-SEED_BATCHED_SWITCHES = list(
-    models.available(engine="vectorized", capability="seed-batched")
 )
 
 #: (name, kwargs-for-run_single) — two §6 matrix families plus two
@@ -203,148 +198,93 @@ class TestDrawChunks:
             list(gen.draw_chunks(100, 0))
 
 
-class TestSeedBatched:
-    """Multi-seed stacking: per-seed results identical to one-at-a-time."""
-
-    @pytest.mark.parametrize("switch", SEED_BATCHED_SWITCHES)
-    def test_stacked_equals_sequential(self, switch):
-        matrix = uniform_matrix(8, 0.85)
-        seeds = list(range(4, 9))
-        stacked = run_replications_fast(
-            switch, matrix, SLOTS, seeds, load_label=0.85
-        )
-        for seed, got in zip(seeds, stacked):
-            want = run_single_fast(
-                switch, matrix, SLOTS, seed=seed, load_label=0.85
-            )
-            assert_identical(want, got)
-
-    def test_stacked_windowed(self):
-        matrix = diagonal_matrix(8, 0.6)
-        seeds = [1, 2, 3]
-        stacked = run_replications_fast(
-            "sprinklers", matrix, SLOTS, seeds, load_label=0.6,
-            window_slots=113,
-        )
-        for seed, got in zip(seeds, stacked):
-            want = run_single_fast(
-                "sprinklers", matrix, SLOTS, seed=seed, load_label=0.6
-            )
-            assert_identical(want, got)
-
-    def test_frame_switches_are_seed_batched(self):
-        """The ISSUE-5 bar: the array-stepped formation engine lets the
-        frame-at-a-time switches stack seeds too — the whole vectorized
-        roster replicates in one pass."""
-        assert set(SEED_BATCHED_SWITCHES) == set(
-            models.available(engine="vectorized")
-        )
-        assert {"pf", "foff"} <= set(SEED_BATCHED_SWITCHES)
-
-    @pytest.mark.parametrize("switch", ["pf", "foff"])
-    def test_frame_switch_stacked_windowed(self, switch):
-        matrix = diagonal_matrix(8, 0.7)
-        seeds = [1, 2, 3]
-        stacked = run_replications_fast(
-            switch, matrix, SLOTS, seeds, load_label=0.7,
-            window_slots=113,
-        )
-        for seed, got in zip(seeds, stacked):
-            want = run_single_fast(
-                switch, matrix, SLOTS, seed=seed, load_label=0.7
-            )
-            assert_identical(want, got)
-
-    def test_non_batched_switch_raises(self):
-        model = models.get("sprinklers")
-        try:
-            models.register(
-                models.SwitchModel(
-                    name="stream-only-test",
-                    builder=model.builder,
-                    kernel=model.kernel,
-                    stream_kernel=model.stream_kernel,
-                    capabilities={models.Capability.EXACT_REPLAY},
-                )
-            )
-            with pytest.raises(ValueError, match="seed-batched"):
-                run_replications_fast(
-                    "stream-only-test", uniform_matrix(4, 0.5), 500, [0, 1]
-                )
-        finally:
-            from repro.models import registry as registry_module
-
-            registry_module._MODELS.pop("stream-only-test", None)
+DEPARTURE_FIELDS = ("voq", "seq", "arrival", "departure")
 
 
-class TestBatchedReplicate:
-    """replicate(batch_seeds=True): same values tuple, any switch."""
-
-    @pytest.mark.parametrize(
-        "switch", models.available(engine="vectorized")
+def _concat(parts, fields=DEPARTURE_FIELDS):
+    """Concatenate ``Departures`` records field-wise, in emission order."""
+    return tuple(
+        np.concatenate([getattr(p, f) for p in parts]) for f in fields
     )
-    def test_values_equal_sequential(self, switch):
-        matrix = uniform_matrix(8, 0.7)
-        sequential = replicate(
-            switch, matrix, 900, replications=4, engine="vectorized",
-            load_label=0.7,
-        )
-        batched = replicate(
-            switch, matrix, 900, replications=4, engine="vectorized",
-            load_label=0.7, batch_seeds=True,
-        )
-        assert batched.values == sequential.values
-        assert batched.mean == sequential.mean
-        assert batched.half_width == sequential.half_width
 
-    def test_scenario_values_equal(self):
-        kw = dict(
-            scenario="mmpp-bursty", n=8, load=0.8, num_slots=900,
-            replications=3, engine="vectorized",
-        )
-        assert (
-            replicate("sprinklers", batch_seeds=True, **kw).values
-            == replicate("sprinklers", **kw).values
-        )
 
-    def test_switch_params_values_equal(self):
-        matrix = uniform_matrix(8, 0.75)
-        kw = dict(
-            num_slots=900, replications=3, engine="vectorized",
-            switch_params={"threshold": 2},
-        )
-        assert (
-            replicate("pf", matrix, batch_seeds=True, **kw).values
-            == replicate("pf", matrix, **kw).values
-        )
+def _stream_departures(streamer, windows):
+    """Feed ``windows`` through a streamer; the concatenated departure
+    fields plus the extras."""
+    parts = [streamer.feed(w) for w in windows]
+    final, extras = streamer.finish()
+    parts.append(final)
+    return _concat(parts), extras
 
-    def test_batched_store_keys_shared_with_sequential(self, tmp_path):
-        """A batched run fills the cache the sequential path hits, and
-        vice versa — the keys are the per-seed run_single keys."""
-        matrix = uniform_matrix(4, 0.6)
-        store = str(tmp_path / "store")
-        first = replicate(
-            "sprinklers", matrix, 600, replications=3, engine="vectorized",
-            load_label=0.6, batch_seeds=True, store=store,
-        )
-        # Sequential re-run must be pure cache hits (same values object).
-        second = replicate(
-            "sprinklers", matrix, 600, replications=3, engine="vectorized",
-            load_label=0.6, store=store,
-        )
-        assert first.values == second.values
-        from repro.store import ExperimentStore
 
-        stats = ExperimentStore(store).stats()
-        assert stats.entries == 3
-        assert stats.hits >= 3
+class TestSingleSeedStream:
+    """The stream-kernel contract: ``stream(matrix, seed, total_slots)``
+    gives one seed's streamer; ``feed`` returns ``Departures`` and
+    ``finish`` returns ``(Departures, extras)``."""
 
-    def test_batch_seeds_requires_vectorized(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            replicate(
-                "sprinklers", uniform_matrix(4, 0.5), 500,
-                replications=2, batch_seeds=True,
+    @pytest.mark.parametrize("switch", STREAMING_SWITCHES)
+    def test_feed_and_finish_contract(self, switch):
+        matrix = diagonal_matrix(8, 0.7)
+        streamer = models.get(switch).stream_kernel(matrix, 5, SLOTS)
+        windows = list(
+            BatchTrafficGenerator(
+                matrix, np.random.default_rng(5)
+            ).draw_chunks(SLOTS, 113)
+        )
+        parts = []
+        for window in windows:
+            dep = streamer.feed(window)
+            assert isinstance(dep, Departures)
+            assert len(dep.voq) == len(dep.departure) == len(dep.arrival)
+            if len(dep.departure):
+                assert dep.departure.max() < window.end_slot
+                assert np.all(dep.departure > dep.arrival)
+            parts.append(dep)
+        result = streamer.finish()
+        assert isinstance(result, tuple) and len(result) == 2
+        final, extras = result
+        assert isinstance(final, Departures)
+        assert extras is None or isinstance(extras, dict)
+        parts.append(final)
+        # No packet is finalized twice (frame switches may strand the
+        # packets of frames that never fill, so not every packet leaves).
+        voq, seq = _concat(parts, ("voq", "seq"))
+        keys = voq * (seq.max(initial=0) + 1) + seq
+        assert len(np.unique(keys)) == len(keys)
+        assert len(keys) <= sum(len(w) for w in windows)
+
+    @pytest.mark.parametrize("switch", STREAMING_SWITCHES)
+    def test_interleaved_streamers_are_independent(self, switch):
+        """Each streamer owns its run state (generation numbering
+        included): two seeds fed in lockstep match two solo runs."""
+        matrix = uniform_matrix(8, 0.8)
+        kernel = models.get(switch).stream_kernel
+
+        def windows(seed):
+            return list(
+                BatchTrafficGenerator(
+                    matrix, np.random.default_rng(seed)
+                ).draw_chunks(SLOTS, 97)
             )
+
+        solo = {
+            seed: _stream_departures(
+                kernel(matrix, seed, SLOTS), windows(seed)
+            )
+            for seed in (1, 2)
+        }
+        streamers = {seed: kernel(matrix, seed, SLOTS) for seed in (1, 2)}
+        parts = {seed: [] for seed in (1, 2)}
+        for w1, w2 in zip(windows(1), windows(2)):
+            parts[1].append(streamers[1].feed(w1))
+            parts[2].append(streamers[2].feed(w2))
+        for seed in (1, 2):
+            final, extras = streamers[seed].finish()
+            parts[seed].append(final)
+            want, want_extras = solo[seed]
+            for a, b in zip(_concat(parts[seed]), want):
+                np.testing.assert_array_equal(a, b)
+            assert extras == want_extras
 
 
 class TestRunSingleIntegration:
