@@ -60,8 +60,8 @@ RULE_DOCS: Dict[str, str] = {
     ),
     "TEL002": (
         "span name outside the telemetry vocabulary "
-        "(run|replay|traffic|kernel|stage|fabric|sweep|figure|service|"
-        "store, dot-separated lowercase segments)"
+        "(run|replay|traffic|kernel|metrics|stage|fabric|sweep|figure|"
+        "service|store, dot-separated lowercase segments)"
     ),
     "TEL003": (
         "telemetry instrument created inside a function — create "

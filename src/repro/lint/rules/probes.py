@@ -22,8 +22,8 @@ __all__ = ["SPAN_NAME_RE", "check"]
 #: The span-name vocabulary established in PR 7: a known prefix, then
 #: dot-separated lowercase segments.
 SPAN_NAME_RE = re.compile(
-    r"^(run|replay|traffic|kernel|stage|fabric|sweep|figure|service|store)"
-    r"(\.[a-z0-9_]+)*$"
+    r"^(run|replay|traffic|kernel|metrics|stage|fabric|sweep|figure|"
+    r"service|store)(\.[a-z0-9_]+)*$"
 )
 
 #: The telemetry package implements the probes; its internals are the

@@ -28,6 +28,7 @@ from ..sim.kernels.compiled import KERNEL_BACKENDS, kernel_backend
 from ..sim.metrics import SimulationResult
 from ..sim.rng import traffic_rng
 from ..store import ExperimentStore, coerce_store
+from ..traffic.batch import ArrivalBatch, BatchTrafficGenerator
 from ..traffic.generator import TrafficGenerator
 from ..traffic.matrices import diagonal_matrix, uniform_matrix
 
@@ -153,6 +154,100 @@ def _captured(span_name: str, execute: Callable[[], SimulationResult]) -> Simula
     return result
 
 
+def _stored(
+    cache: Optional[ExperimentStore],
+    params: Callable[[], Dict],
+    span_name: str,
+    execute: Callable[[], SimulationResult],
+) -> SimulationResult:
+    """The store protocol of every run: fetch the result cached under
+    ``params()``, else execute it under a telemetry capture and save it.
+    Without a store the run just executes (``params`` is never built)."""
+    if cache is None:
+        return _captured(span_name, execute)
+    key_params = params()
+    cached = cache.fetch(key_params)
+    if cached is not None:
+        return cached
+    result = _captured(span_name, execute)
+    cache.save(key_params, result)
+    return result
+
+
+def _resolve_workload(
+    matrix: Optional[np.ndarray],
+    scenario,
+    n: Optional[int],
+    load: Optional[float],
+    load_label: float,
+    num_slots: int,
+):
+    """Resolve a run's workload arguments (exactly one of ``matrix`` or
+    ``scenario`` with ``n`` and ``load``) into ``(spec, matrix,
+    load_label, spec_load)``: a scenario provisions the switch from its
+    effective matrix, and a NaN ``load_label`` becomes its load."""
+    spec: Optional[ScenarioSpec] = None
+    if scenario is not None:
+        if matrix is not None:
+            raise ValueError("pass either matrix or scenario, not both")
+        spec = resolve_scenario(scenario)
+        if n is None or load is None:
+            raise ValueError("scenario runs require n and load")
+        matrix = effective_matrix(spec, n, load)
+        if math.isnan(load_label):
+            load_label = float(load)
+    elif matrix is None:
+        raise ValueError("need a matrix or a scenario")
+    if num_slots <= 0:
+        raise ValueError("num_slots must be positive")
+    spec_load = float(load) if load is not None else None
+    return spec, matrix, load_label, spec_load
+
+
+class _CellArrivals:
+    """One sweep cell's monolithic arrival batch, drawn on first use.
+
+    Traffic depends on the workload, load and seed, never on the switch,
+    so every vectorized switch of a (load, seed) cell replays the same
+    batch; drawing it once per cell instead of once per switch is exact.
+    The draw is lazy: a cell whose switches are all store hits draws
+    nothing.  The batch's arrays are read-only, so a kernel that wrote
+    its input would raise instead of corrupting the next switch's run.
+    """
+
+    def __init__(
+        self,
+        spec: Optional[ScenarioSpec],
+        matrix: np.ndarray,
+        spec_load: Optional[float],
+        seed: int,
+        num_slots: int,
+    ) -> None:
+        self.spec = spec
+        self.matrix = matrix
+        self.spec_load = spec_load
+        self.seed = seed
+        self.num_slots = num_slots
+        self._batch: Optional[ArrivalBatch] = None
+
+    def batch(self) -> ArrivalBatch:
+        if self._batch is None:
+            source = (
+                build_batch_traffic(
+                    self.spec, self.matrix.shape[0], self.spec_load,
+                    self.seed, self.num_slots,
+                )
+                if self.spec is not None
+                else BatchTrafficGenerator(self.matrix, traffic_rng(self.seed))
+            )
+            with telemetry.trace("traffic.draw"):
+                batch = source.draw(self.num_slots)
+            for array in (batch.slots, batch.inputs, batch.outputs, batch.seqs):
+                array.flags.writeable = False
+            self._batch = batch
+        return self._batch
+
+
 def _run_single_fabric(
     fabric_spec,
     matrix: Optional[np.ndarray],
@@ -177,21 +272,9 @@ def _run_single_fabric(
             f"fabric {fabric_spec.name!r}: per-stage parameters belong in "
             f"the FabricSpec stages, not switch_params"
         )
-    spec: Optional[ScenarioSpec] = None
-    if scenario is not None:
-        if matrix is not None:
-            raise ValueError("pass either matrix or scenario, not both")
-        spec = resolve_scenario(scenario)
-        if n is None or load is None:
-            raise ValueError("scenario runs require n and load")
-        matrix = effective_matrix(spec, n, load)
-        if math.isnan(load_label):
-            load_label = float(load)
-    elif matrix is None:
-        raise ValueError("need a matrix or a scenario")
-    if num_slots <= 0:
-        raise ValueError("num_slots must be positive")
-    spec_load = float(load) if load is not None else None
+    spec, matrix, load_label, spec_load = _resolve_workload(
+        matrix, scenario, n, load, load_label, num_slots
+    )
 
     # Imported here, not at module scope: the fabric built-ins resolve
     # their stage names against the switch registry, which is still
@@ -220,20 +303,14 @@ def _run_single_fabric(
             window_slots=window_slots,
         )
 
-    cache = coerce_store(store)
-    if cache is None:
-        return _captured("run.fabric", execute)
-    params = fabric_run_params(
-        fabric_spec, matrix, num_slots, seed,
-        spec_load if spec is not None else load_label,
-        warmup_fraction, keep_samples, engine, spec,
-    )
-    cached = cache.fetch(params)
-    if cached is not None:
-        return cached
-    result = _captured("run.fabric", execute)
-    cache.save(params, result)
-    return result
+    def params() -> Dict:
+        return fabric_run_params(
+            fabric_spec, matrix, num_slots, seed,
+            spec_load if spec is not None else load_label,
+            warmup_fraction, keep_samples, engine, spec,
+        )
+
+    return _stored(coerce_store(store), params, "run.fabric", execute)
 
 
 def _execute_single(
@@ -249,19 +326,26 @@ def _execute_single(
     spec_load: Optional[float] = None,
     switch_params: Optional[Dict] = None,
     window_slots: Optional[int] = None,
+    arrivals: Optional[_CellArrivals] = None,
 ) -> SimulationResult:
-    """The uncached simulation (the store wraps exactly this function)."""
+    """The uncached simulation (the store wraps exactly this function).
+
+    ``arrivals`` hands in a sweep cell's shared batch; only a vectorized
+    replay uses it, the object engine draws its own packet stream."""
     n = matrix.shape[0]
     model = models.get(switch_name)
     switch_params = switch_params or {}
     if engine == "vectorized" and model.supports_engine(
         "vectorized", switch_params
     ):
-        batch_traffic = (
-            build_batch_traffic(spec, n, spec_load, seed, num_slots)
-            if spec is not None
-            else None
-        )
+        if arrivals is not None:
+            batch_traffic = arrivals.batch()
+        elif spec is not None:
+            batch_traffic = build_batch_traffic(
+                spec, n, spec_load, seed, num_slots
+            )
+        else:
+            batch_traffic = None
         return run_single_fast(
             switch_name,
             matrix,
@@ -377,44 +461,50 @@ def run_single(
         )
     switch_name = models.canonical_name(switch_name)
     models.get(switch_name).validate_params(switch_params or {})
-    spec: Optional[ScenarioSpec] = None
-    if scenario is not None:
-        if matrix is not None:
-            raise ValueError("pass either matrix or scenario, not both")
-        spec = resolve_scenario(scenario)
-        if n is None or load is None:
-            raise ValueError("scenario runs require n and load")
-        matrix = effective_matrix(spec, n, load)
-        if math.isnan(load_label):
-            load_label = float(load)
-    elif matrix is None:
-        raise ValueError("need a matrix or a scenario")
-    if num_slots <= 0:
-        raise ValueError("num_slots must be positive")
+    spec, matrix, load_label, spec_load = _resolve_workload(
+        matrix, scenario, n, load, load_label, num_slots
+    )
+    return _run_switch(
+        switch_name, matrix, num_slots, seed, load_label, warmup_fraction,
+        keep_samples, engine, spec, spec_load, coerce_store(store),
+        switch_params, window_slots,
+    )
 
-    spec_load = float(load) if load is not None else None
+
+def _run_switch(
+    switch_name: str,
+    matrix: np.ndarray,
+    num_slots: int,
+    seed: int,
+    load_label: float,
+    warmup_fraction: float,
+    keep_samples: bool,
+    engine: str,
+    spec: Optional[ScenarioSpec],
+    spec_load: Optional[float],
+    cache: Optional[ExperimentStore],
+    switch_params: Optional[Dict],
+    window_slots: Optional[int],
+    arrivals: Optional[_CellArrivals] = None,
+) -> SimulationResult:
+    """One resolved switch run through the store: what :func:`run_single`
+    does after resolution, and what every sweep cell calls."""
+
+    def params() -> Dict:
+        return single_run_params(
+            switch_name, matrix, num_slots, seed,
+            spec_load if spec is not None else load_label,
+            warmup_fraction, keep_samples, engine, spec, switch_params,
+        )
 
     def execute() -> SimulationResult:
         return _execute_single(
             switch_name, matrix, num_slots, seed, load_label,
             warmup_fraction, keep_samples, engine, spec, spec_load,
-            switch_params, window_slots,
+            switch_params, window_slots, arrivals,
         )
 
-    cache = coerce_store(store)
-    if cache is None:
-        return _captured("run.single", execute)
-    params = single_run_params(
-        switch_name, matrix, num_slots, seed,
-        spec_load if spec is not None else load_label,
-        warmup_fraction, keep_samples, engine, spec, switch_params,
-    )
-    cached = cache.fetch(params)
-    if cached is not None:
-        return cached
-    result = _captured("run.single", execute)
-    cache.save(params, result)
-    return result
+    return _stored(cache, params, "run.single", execute)
 
 
 def resolve_run_params(
@@ -462,21 +552,9 @@ def resolve_run_params(
     if fabric_spec is None:
         switch_name = models.canonical_name(switch_name)
         models.get(switch_name).validate_params(switch_params or {})
-    spec: Optional[ScenarioSpec] = None
-    if scenario is not None:
-        if matrix is not None:
-            raise ValueError("pass either matrix or scenario, not both")
-        spec = resolve_scenario(scenario)
-        if n is None or load is None:
-            raise ValueError("scenario runs require n and load")
-        matrix = effective_matrix(spec, n, load)
-        if math.isnan(load_label):
-            load_label = float(load)
-    elif matrix is None:
-        raise ValueError("need a matrix or a scenario")
-    if num_slots <= 0:
-        raise ValueError("num_slots must be positive")
-    spec_load = float(load) if load is not None else None
+    spec, matrix, load_label, spec_load = _resolve_workload(
+        matrix, scenario, n, load, load_label, num_slots
+    )
     key_load = spec_load if spec is not None else load_label
     if fabric_spec is not None:
         return fabric_run_params(
@@ -511,6 +589,16 @@ def delay_vs_load_sweep(
     runs each supported switch on the fast batch engine (same seeds, same
     results, paper-scale wall-clock); ``store`` caches every cell so a
     repeated sweep recomputes nothing.
+
+    Arrivals depend on the pattern, load and seed but not on the switch,
+    so a monolithic vectorized sweep draws each load's batch once and
+    replays it (read-only) for every vectorized switch at that load.
+    The draw is lazy — a load whose switches are all store hits draws
+    nothing — and the batch is dropped when the load is done.  With
+    ``window_slots`` each switch draws its own windows, keeping arrival
+    memory O(window); object-engine switches and fabrics draw their own
+    traffic either way.  Results are identical to per-switch
+    :func:`run_single` calls.
     """
     spec: Optional[ScenarioSpec] = None
     is_name = isinstance(pattern, str) and not pattern.endswith(
@@ -555,15 +643,24 @@ def _sweep_cells(
 ) -> List[SimulationResult]:
     """The sweep grid body of :func:`delay_vs_load_sweep`."""
     results: List[SimulationResult] = []
+    # A windowed replay draws per switch: one shared batch would hold
+    # the whole run and break the O(window) arrival-memory bound.
+    share = engine == "vectorized" and window_slots is None
     for load in loads:
-        matrix = (
-            TRAFFIC_PATTERNS[pattern](n, load) if spec is None else None
+        if spec is None:
+            matrix, spec_load = TRAFFIC_PATTERNS[pattern](n, load), None
+        else:
+            matrix, spec_load = effective_matrix(spec, n, load), float(load)
+        arrivals = (
+            _CellArrivals(spec, matrix, spec_load, seed, num_slots)
+            if share
+            else None
         )
         for name in switches:
-            results.append(
-                run_single(
+            if models.lookup_fabric(name) is not None:
+                results.append(run_single(
                     name,
-                    matrix,
+                    matrix if spec is None else None,
                     num_slots,
                     seed=seed,
                     load_label=load,
@@ -571,9 +668,22 @@ def _sweep_cells(
                     engine=engine,
                     scenario=spec,
                     n=n if spec is not None else None,
-                    load=load if spec is not None else None,
+                    load=spec_load,
                     store=cache,
                     window_slots=window_slots,
-                )
-            )
+                ))
+                continue
+            results.append(_run_switch(
+                models.canonical_name(name), matrix, num_slots, seed,
+                load_label=load,
+                warmup_fraction=0.1,
+                keep_samples=keep_samples,
+                engine=engine,
+                spec=spec,
+                spec_load=spec_load,
+                cache=cache,
+                switch_params=None,
+                window_slots=window_slots,
+                arrivals=arrivals,
+            ))
     return results

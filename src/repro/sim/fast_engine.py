@@ -35,14 +35,14 @@ replications run seed by seed (:func:`repro.sim.replication.replicate`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from .. import models, telemetry
 from ..sim.metrics import SimulationMetrics, SimulationResult
 from ..sim.rng import traffic_rng
-from ..traffic.batch import BatchTrafficGenerator
+from ..traffic.batch import ArrivalBatch, BatchTrafficGenerator
 from ..traffic.matrices import validate_matrix
 from .kernels.base import Departures, composite_argsort
 from .kernels.compiled import compiled_active, kernel_backend
@@ -291,7 +291,7 @@ def run_single_fast(
     load_label: float = float("nan"),
     warmup_fraction: float = 0.1,
     keep_samples: bool = True,
-    batch_traffic: Optional[BatchTrafficGenerator] = None,
+    batch_traffic: Union[BatchTrafficGenerator, ArrivalBatch, None] = None,
     switch_params: Optional[Dict] = None,
     window_slots: Optional[int] = None,
     backend: Optional[str] = None,
@@ -307,7 +307,11 @@ def run_single_fast(
 
     ``batch_traffic`` substitutes a pre-built packet source (the scenario
     subsystem passes its nonstationary batch generator here); ``matrix``
-    then only provisions the switch (e.g. Sprinklers' placement).
+    then only provisions the switch (e.g. Sprinklers' placement).  It may
+    also be an already drawn :class:`~repro.traffic.batch.ArrivalBatch`
+    covering slots ``[0, num_slots)`` — a sweep cell's batch shared by
+    its switches — which replays monolithically; the run's
+    ``traffic.draw`` span then carries ``shared=True``.
     ``switch_params`` must be parameters the model's kernel declares in
     ``kernel_params`` (this entry point raises rather than falling back).
 
@@ -345,34 +349,51 @@ def run_single_fast(
         raise ValueError("warmup_fraction must be in [0, 1)")
     matrix = validate_matrix(matrix)
     n = matrix.shape[0]
+    drawn = isinstance(batch_traffic, ArrivalBatch)
     if batch_traffic is None:
         batch_traffic = BatchTrafficGenerator(matrix, traffic_rng(seed))
     if batch_traffic.n != n:
         raise ValueError("batch traffic size does not match matrix")
+    if drawn and (
+        batch_traffic.start_slot != 0 or batch_traffic.num_slots != num_slots
+    ):
+        raise ValueError(
+            f"a drawn arrival batch must cover slots [0, {num_slots}); "
+            f"got [{batch_traffic.start_slot}, {batch_traffic.end_slot})"
+        )
+    if drawn and window_slots is not None:
+        raise ValueError(
+            "a drawn arrival batch replays monolithically; drop window_slots"
+        )
 
     if window_slots is None:
         with telemetry.trace(
             "replay.monolithic", switch=model.reported_name, slots=num_slots
         ) as run_span:
-            with telemetry.trace("traffic.draw"):
-                batch = batch_traffic.draw(num_slots)
+            with telemetry.trace("traffic.draw") as draw_span:
+                if drawn:
+                    draw_span.set(shared=True)
+                    batch = batch_traffic
+                else:
+                    batch = batch_traffic.draw(num_slots)
             with telemetry.trace("kernel.replay"):
                 dep, extras = model.kernel(
                     batch, matrix, seed, **switch_params
                 )
             run_span.set(packets=len(batch))
         _observe_throughput(run_span.span, num_slots, len(batch))
-        return _result_from_departures(
-            model.reported_name,
-            n,
-            dep,
-            injected=len(batch),
-            num_slots=num_slots,
-            warmup_fraction=warmup_fraction,
-            load_label=load_label,
-            keep_samples=keep_samples,
-            extras=extras,
-        )
+        with telemetry.trace("metrics.fold"):
+            return _result_from_departures(
+                model.reported_name,
+                n,
+                dep,
+                injected=len(batch),
+                num_slots=num_slots,
+                warmup_fraction=warmup_fraction,
+                load_label=load_label,
+                keep_samples=keep_samples,
+                extras=extras,
+            )
 
     if window_slots <= 0:
         raise ValueError("window_slots must be positive")
@@ -417,13 +438,16 @@ def run_single_fast(
                     slots=window.num_slots,
                     packets=len(window),
                 ) as span:
-                    acc.add(stage.feed(window))
+                    departures = stage.feed(window)
+                    with telemetry.trace("metrics.fold"):
+                        acc.add(departures)
                 _observe_throughput(span.span, window.num_slots, len(window))
                 telemetry.count("replay.windows")
         with telemetry.trace("replay.finish"):
             if window_slots < num_slots:
                 final, extras = stage.finish()
-            acc.add(final)
+            with telemetry.trace("metrics.fold"):
+                acc.add(final)
     return acc.result(
         model.reported_name, injected, num_slots, load_label, extras
     )

@@ -26,8 +26,9 @@ import pytest
 
 from repro import models
 from repro.sim.experiment import ENGINES, run_single
-from repro.sim.fast_engine import run_single_fast
+from repro.sim.fast_engine import _result_from_departures, run_single_fast
 from repro.sim.parallel import SweepJob, run_jobs
+from repro.traffic.batch import ArrivalBatch, BatchTrafficGenerator
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
 FAST_SWITCHES = list(models.available(engine="vectorized"))
@@ -289,3 +290,60 @@ class TestFastEngineBehaviour:
             )
         with pytest.raises(ValueError):
             run_single_fast("ufs", uniform_matrix(4, 0.5), 0)
+
+
+def _read_only(batch):
+    """A copy of ``batch`` whose arrays refuse writes."""
+    arrays = {}
+    for field in ("slots", "inputs", "outputs", "seqs"):
+        array = getattr(batch, field).copy()
+        array.flags.writeable = False
+        arrays[field] = array
+    return ArrivalBatch(
+        n=batch.n, num_slots=batch.num_slots, start_slot=batch.start_slot,
+        **arrays,
+    )
+
+
+class TestKernelsNeverWriteTheirInput:
+    """A sweep cell hands one read-only batch to all its switches, so no
+    kernel may write its input: each replays a read-only batch to the
+    same result as a writable one."""
+
+    SLOTS = 1500
+
+    def _result(self, switch, dep, extras, batch):
+        return _result_from_departures(
+            switch, batch.n, dep, injected=len(batch), num_slots=self.SLOTS,
+            warmup_fraction=0.1, load_label=0.8, keep_samples=True,
+            extras=extras,
+        ).to_dict(include_samples=True)
+
+    def _batch(self, matrix):
+        return BatchTrafficGenerator(
+            matrix, np.random.default_rng(11)
+        ).draw(self.SLOTS)
+
+    @pytest.mark.parametrize("switch", FAST_SWITCHES)
+    def test_monolithic_kernel(self, switch):
+        kernel = models.get(switch).kernel
+        matrix = diagonal_matrix(8, 0.8)
+        writable = self._batch(matrix)
+        frozen = _read_only(writable)
+        assert self._result(
+            switch, *kernel(frozen, matrix, 11), frozen
+        ) == self._result(switch, *kernel(writable, matrix, 11), writable)
+
+    @pytest.mark.parametrize(
+        "switch", models.available(engine="vectorized", capability="streaming")
+    )
+    def test_stream_kernel_finish(self, switch):
+        stream = models.get(switch).stream_kernel
+        matrix = diagonal_matrix(8, 0.8)
+        writable = self._batch(matrix)
+        frozen = _read_only(writable)
+        replay_frozen = stream(matrix, 11, self.SLOTS).finish(frozen)
+        replay_writable = stream(matrix, 11, self.SLOTS).finish(writable)
+        assert self._result(switch, *replay_frozen, frozen) == self._result(
+            switch, *replay_writable, writable
+        )

@@ -7,6 +7,7 @@ counting calls into the (monkeypatched) execution layer.
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
 import multiprocessing
@@ -138,6 +139,26 @@ class TestRoundTrip:
         result = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
         assert store.hits == 0
         assert result.mean_delay == expected.mean_delay
+
+    def test_entry_written_at_level_9_streamed_still_reads(self, tmp_path):
+        # Entries written before the bytes-at-level-6 write path (json.dump
+        # streamed through a text-mode gzip file, default level 9) must
+        # keep serving as hits.
+        store = ExperimentStore(tmp_path)
+        params = params_for()
+        expected = run_single(
+            "ufs", uniform_matrix(4, 0.5), 500, load_label=0.5, store=store
+        )
+        (obj,) = list(store.objects_dir.glob("*/*.json.gz"))
+        payload = store.backend.get(cache_key(params))
+        with gzip.open(obj, "wt", compresslevel=9) as handle:
+            json.dump(payload, handle)
+        assert store.backend.get(cache_key(params)) == payload
+        hit = run_single(
+            "ufs", uniform_matrix(4, 0.5), 500, load_label=0.5, store=store
+        )
+        assert store.hits == 1
+        assert hit.to_dict() == expected.to_dict()
 
     def test_manifest_lines_appended(self, tmp_path):
         store = ExperimentStore(tmp_path)

@@ -350,6 +350,31 @@ class TestRunProbes:
         assert "metrics" in payload
         assert sweep_span.attrs["loads"] == 1
 
+    def test_vectorized_sweep_shares_one_draw_per_load(self):
+        with telemetry.scope() as tel:
+            delay_vs_load_sweep(
+                "uniform", n=4, loads=[0.4, 0.8], switches=["sprinklers", "pf"],
+                num_slots=400, engine="vectorized",
+            )
+            draws = tel.tracer.find("traffic.draw")
+            folds = tel.tracer.find("metrics.fold")
+            runs = tel.tracer.find("run.single")
+        unshared = [s for s in draws if not s.attrs.get("shared")]
+        shared = [s for s in draws if s.attrs.get("shared")]
+        assert len(runs) == 4
+        assert len(unshared) == 2  # one real draw per load
+        assert len(shared) == 4  # every run replays its cell's batch
+        assert len(folds) == 4  # one metrics fold per monolithic run
+
+    def test_streamed_fold_spans(self):
+        with telemetry.scope() as tel:
+            run_single(
+                "ufs", uniform_matrix(4, 0.5), 1000, engine="vectorized",
+                window_slots=250,
+            )
+            folds = tel.tracer.find("metrics.fold")
+        assert len(folds) == 5  # one per window, plus the finish
+
     def test_capture_memory_payload(self):
         with telemetry.scope(memory=True):
             result = run_single("ufs", uniform_matrix(4, 0.5), 300)
@@ -364,21 +389,31 @@ class TestParity:
     """Telemetry observes; it must never change what runs compute."""
 
     def test_grid_bit_identical_and_extras_clean(self):
-        kwargs = dict(
-            pattern="uniform", n=4, loads=[0.4, 0.8],
-            switches=["sprinklers", "ufs"], num_slots=400,
-            engine="vectorized",
-        )
-        baseline = delay_vs_load_sweep(**kwargs)
-        with telemetry.scope():
-            observed = delay_vs_load_sweep(**kwargs)
-        assert len(baseline) == len(observed)
-        for base, obs in zip(baseline, observed):
-            base_dict, obs_dict = base.to_dict(), obs.to_dict()
-            assert obs_dict["extras"].pop("telemetry", None) is not None
-            assert base_dict == obs_dict
-            # Disabled runs must not carry the reserved extras key at all.
-            assert "telemetry" not in base.extras
+        grids = [
+            dict(
+                pattern="uniform", n=4, loads=[0.4, 0.8],
+                switches=["sprinklers", "ufs"], num_slots=400,
+                engine="vectorized",
+            ),
+            # Shared-draw cells with retained samples and an
+            # object-engine fallback in the same sweep.
+            dict(
+                pattern="diagonal", n=4, loads=[0.4, 0.8],
+                switches=["pf", "ufs", "cms"], num_slots=400,
+                engine="vectorized", keep_samples=True,
+            ),
+        ]
+        for kwargs in grids:
+            baseline = delay_vs_load_sweep(**kwargs)
+            with telemetry.scope():
+                observed = delay_vs_load_sweep(**kwargs)
+            assert len(baseline) == len(observed)
+            for base, obs in zip(baseline, observed):
+                base_dict, obs_dict = base.to_dict(), obs.to_dict()
+                assert obs_dict["extras"].pop("telemetry", None) is not None
+                assert base_dict == obs_dict
+                # Disabled runs must not carry the reserved extras key.
+                assert "telemetry" not in base.extras
 
     def test_store_keys_unchanged(self):
         params = single_run_params(
